@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from typing import Any, Sequence
 
-from . import exponents, lcmbound, sidon, spectral, windows
+from . import arith, exponents, lcmbound, sidon, spectral, windows
 
 _CSV_JOIN = "|"
 
@@ -146,6 +146,8 @@ def _cmd_ruzsa(args: argparse.Namespace) -> tuple[list[str], list[dict], dict, i
         raise UsageError("ruzsa requires 1 <= from <= to")
     if not 0 < args.eps < 0.5:
         raise UsageError("ruzsa requires eps strictly between 0 and 1/2")
+    if args.n_hi >= arith.MAX_VALUE:
+        raise UsageError("ruzsa supports integers below 2**96")
     entries = windows.ruzsa_scan(args.n_lo, args.n_hi, args.eps)
     rows = [{"n": e.n, "count": e.count, "running_max": e.running_max} for e in entries]
     _diag(f"ruzsa [{args.n_lo},{args.n_hi}] eps={args.eps}: max count={entries[-1].running_max}")
@@ -177,6 +179,8 @@ def _cmd_lcm_bound(args: argparse.Namespace) -> tuple[list[str], list[dict], dic
     params = {"d": args.d, "s": args.s, "r": args.r, "seed": args.seed}
     if not args.d or any(x < 1 for x in args.d):
         raise UsageError("lcm-bound requires positive integers in --d")
+    if any(x >= arith.MAX_VALUE for x in args.d):
+        raise UsageError("lcm-bound supports integers below 2**96")
     if args.s == 1:
         if args.r is None:
             raise UsageError("lcm-bound with --s 1 needs --r (builds the tuple (1,...,1,d))")

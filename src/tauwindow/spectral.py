@@ -1,6 +1,12 @@
 """Representation counts, additive energy, and exact L2/L4 norms of
 trigonometric polynomials f(x) = sum a_n e(n x) with e(x) = exp(2*pi*i*x).
 
+r(m), the energy, max_{m>0} r(m), the autocorrelation c_m and the L4 norm all
+come from one table of distinct positive differences with their pair counts or
+coefficient sums.  Differences do not change under translation, so the table is
+built in int64 on the support minus its minimum; the same numpy code runs on
+exact Python ints (object arrays) only when the spread max - min reaches 2^63.
+
 Counting is exact integer work; norms are floating point.  The L4 norm has two
 independent routes: the autocorrelation identity ||f||_4^4 = sum |c_m|^2 and an
 equally-spaced quadrature rule that is exact for the bandwidth of |f|^4, which
@@ -14,9 +20,6 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-# pair tables go through int64 numpy only when frequencies cannot overflow
-_INT64_SAFE = 1 << 61
-_PAIR_TABLE_LIMIT = 3000
 _QUADRATURE_POINT_LIMIT = 1 << 26
 
 RUDIN_REL_TOL = 1e-9
@@ -78,43 +81,44 @@ class RudinCertificate:
     holds: bool
 
 
-def _int64_ok(sorted_freqs: tuple[int, ...]) -> bool:
-    return (
-        len(sorted_freqs) <= _PAIR_TABLE_LIMIT
-        and abs(sorted_freqs[0]) < _INT64_SAFE
-        and abs(sorted_freqs[-1]) < _INT64_SAFE
-    )
+def _positive_differences(a: tuple[int, ...], weights=None) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct positive differences y - x (x < y in the sorted set a), increasing.
+
+    Returns (diffs, values): values[k] counts the pairs with y - x == diffs[k],
+    or, with weights aligned to a, sums w_y * conj(w_x) over those pairs.
+    """
+    # exact Python ints only when the translated values overflow int64
+    dtype = np.int64 if a[-1] - a[0] < 1 << 63 else object
+    arr = np.array([x - a[0] for x in a], dtype=dtype)
+    # row y, column x: a is strictly increasing, so x < y below the diagonal
+    lower = arr[:, None] > arr
+    diffs = (arr[:, None] - arr)[lower]
+    if weights is None:
+        diffs.sort()
+    else:
+        w = np.asarray(weights, dtype=np.complex128)
+        prods = (w[:, None] * w.conj())[lower]
+        order = diffs.argsort()
+        diffs, prods = diffs[order], prods[order]
+    # bounds: the start of each run of equal differences, then diffs.size
+    # (np.unique copies and re-sorts the whole table, which costs more time and memory)
+    first = np.empty(diffs.size + 1, dtype=bool)
+    first[0] = first[-1] = True
+    np.not_equal(diffs[1:], diffs[:-1], out=first[1:-1])
+    bounds = np.flatnonzero(first)
+    starts = bounds[:-1]
+    values = np.diff(bounds) if weights is None else np.add.reduceat(prods, starts)
+    return diffs[starts], values
 
 
 def representation_counts(freqs: Iterable[int]) -> dict[int, int]:
     """r(m) = number of ordered pairs (n1, n2) with n1 - n2 = m, all m."""
     a = frequency_set(freqs)
-    counts: dict[int, int] = {0: len(a)}
-    for i, x in enumerate(a):
-        for y in a[i + 1 :]:
-            m = y - x
-            counts[m] = counts.get(m, 0) + 1
-            counts[-m] = counts.get(-m, 0) + 1
-    return counts
-
-
-def _energy_dict(a: tuple[int, ...]) -> int:
-    pos: dict[int, int] = {}
-    for i, x in enumerate(a):
-        for y in a[i + 1 :]:
-            m = y - x
-            pos[m] = pos.get(m, 0) + 1
-    return len(a) ** 2 + 2 * sum(c * c for c in pos.values())
-
-
-def _energy_numpy(a: tuple[int, ...]) -> int:
-    arr = np.array(a, dtype=np.int64)
-    diffs = np.subtract.outer(arr, arr).ravel()
-    diffs.sort()
-    change = np.flatnonzero(diffs[1:] != diffs[:-1])
-    starts = np.concatenate(([0], change + 1, [diffs.size]))
-    counts = np.diff(starts)
-    return int(np.dot(counts, counts))
+    diffs, counts = _positive_differences(a)
+    r = {0: len(a)}
+    for m, c in zip(diffs.tolist(), counts.tolist()):
+        r[m] = r[-m] = c
+    return r
 
 
 def additive_energy(freqs: Iterable[int]) -> int:
@@ -124,11 +128,8 @@ def additive_energy(freqs: Iterable[int]) -> int:
     exactly on Sidon sets.
     """
     a = frequency_set(freqs)
-    if len(a) == 1:
-        return 1
-    if len(a) <= 6000 and abs(a[0]) < _INT64_SAFE and abs(a[-1]) < _INT64_SAFE:
-        return _energy_numpy(a)
-    return _energy_dict(a)
+    _, counts = _positive_differences(a)
+    return len(a) ** 2 + 2 * int(np.dot(counts, counts))
 
 
 def trivial_energy(size: int) -> int:
@@ -140,32 +141,18 @@ def autocorrelation(f: TrigPolynomial) -> Autocorrelation:
     """c_m = sum over n1 - n2 = m of a_{n1} * conj(a_{n2})."""
     if not f.terms:
         raise ValueError("autocorrelation of the empty polynomial")
-    items = sorted(f.terms.items())
-    coeffs: dict[int, complex] = {}
-    for n1, a1 in items:
-        for n2, a2 in items:
-            m = n1 - n2
-            coeffs[m] = coeffs.get(m, 0j) + a1 * a2.conjugate()
+    support = f.support()
+    diffs, sums = _positive_differences(support, [f.terms[n] for n in support])
+    coeffs: dict[int, complex] = {0: complex(l2_norm_sq(f))}
+    for m, c in zip(diffs.tolist(), sums.tolist()):
+        coeffs[m] = c
+        coeffs[-m] = c.conjugate()
     return Autocorrelation(coeffs)
 
 
 def l2_norm_sq(f: TrigPolynomial) -> float:
-    """Squared L2 norm: sum |a_n|^2."""
-    return sum(abs(f.terms[n]) ** 2 for n in sorted(f.terms))
-
-
-def _l4_pairs_numpy(freqs: list[int], coefs: list[complex]) -> float:
-    n = np.array(freqs, dtype=np.int64)
-    a = np.array(coefs, dtype=np.complex128)
-    diffs = np.subtract.outer(n, n).ravel()
-    prods = np.multiply.outer(a, np.conj(a)).ravel()
-    order = np.argsort(diffs, kind="stable")
-    diffs = diffs[order]
-    prods = prods[order]
-    boundaries = np.flatnonzero(diffs[1:] != diffs[:-1]) + 1
-    starts = np.concatenate(([0], boundaries))
-    sums = np.add.reduceat(prods, starts)
-    return float(np.sum(sums.real**2 + sums.imag**2))
+    """Squared L2 norm: sum |a_n|^2, as re^2 + im^2 (exact on Gaussian integers)."""
+    return sum(f.terms[n].real ** 2 + f.terms[n].imag ** 2 for n in sorted(f.terms))
 
 
 def l4_norm_4(f: TrigPolynomial) -> float:
@@ -173,30 +160,42 @@ def l4_norm_4(f: TrigPolynomial) -> float:
     if not f.terms:
         return 0.0
     support = f.support()
-    if len(support) >= 2 and _int64_ok(support):
-        return _l4_pairs_numpy(list(support), [f.terms[n] for n in support])
-    acf = autocorrelation(f)
-    return sum(abs(acf.coeffs[m]) ** 2 for m in sorted(acf.coeffs))
+    _, sums = _positive_differences(support, [f.terms[n] for n in support])
+    return l2_norm_sq(f) ** 2 + 2 * float(np.sum(sums.real**2 + sums.imag**2))
+
+
+def _smooth_length(n: int) -> int:
+    """Smallest 2^i * 3^j * 5^k >= n; FFTs of these lengths are fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def l4_quadrature_oracle(f: TrigPolynomial) -> float:
-    """Mean of |f|^4 over Q = 2*(2*D) + 3 equally spaced points, D the
-    frequency spread of f.
+    """Mean of |f|^4 over Q equally spaced points, Q the smallest 5-smooth
+    integer >= 2*(2*D) + 3, D the frequency spread of f.
 
     |f|^4 is a trigonometric polynomial of bandwidth 2D, so the rule is exact
-    up to floating error.  Independent of the autocorrelation route: the values
-    come from pointwise samples of f.  Frequencies are translated by the
-    minimum (which leaves |f| unchanged) and reduced mod Q exactly, so huge
-    frequencies lose no precision.
+    up to floating error for any Q > 2D.  Independent of the autocorrelation
+    route: the values come from pointwise samples of f.  Frequencies are
+    translated by the minimum (which leaves |f| unchanged) and reduced mod Q
+    exactly, so huge frequencies lose no precision.
     """
     if not f.terms:
         raise ValueError("quadrature oracle of the empty polynomial")
     support = f.support()
     base = support[0]
     spread = support[-1] - base
-    q = 2 * (2 * spread) + 3
-    if q > _QUADRATURE_POINT_LIMIT:
-        raise ValueError(f"frequency spread {spread} needs {q} quadrature points; too wide")
+    points = 2 * (2 * spread) + 3
+    if points > _QUADRATURE_POINT_LIMIT:
+        raise ValueError(f"frequency spread {spread} needs {points} quadrature points; too wide")
+    q = _smooth_length(points)
     buf = np.zeros(q, dtype=np.complex128)
     for n in support:
         buf[(n - base) % q] += f.terms[n]
@@ -208,23 +207,8 @@ def l4_quadrature_oracle(f: TrigPolynomial) -> float:
 
 def max_positive_representation(freqs: Iterable[int]) -> int:
     """max over m > 0 of r(m); zero for a singleton set."""
-    a = frequency_set(freqs)
-    if len(a) == 1:
-        return 0
-    if _int64_ok(a):
-        arr = np.array(a, dtype=np.int64)
-        i, j = np.triu_indices(len(a), k=1)
-        diffs = arr[j] - arr[i]
-        diffs.sort()
-        change = np.flatnonzero(diffs[1:] != diffs[:-1])
-        starts = np.concatenate(([0], change + 1, [diffs.size]))
-        return int(np.diff(starts).max())
-    pos: dict[int, int] = {}
-    for i, x in enumerate(a):
-        for y in a[i + 1 :]:
-            m = y - x
-            pos[m] = pos.get(m, 0) + 1
-    return max(pos.values())
+    _, counts = _positive_differences(frequency_set(freqs))
+    return int(counts.max(initial=0))
 
 
 def rudin_certificate(f: TrigPolynomial) -> RudinCertificate:

@@ -129,6 +129,12 @@ class TestRuzsaCommand:
         assert exc.value.code == 2
         assert "eps" in capsys.readouterr().err
 
+    def test_value_beyond_2_96_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ruzsa", "--from", str(2**96), "--to", str(2**96), "--eps", "0.25"])
+        assert exc.value.code == 2
+        assert "2**96" in capsys.readouterr().err
+
 
 class TestLcmBoundCommand:
     def test_certificate_rows(self, capsys):
@@ -163,6 +169,12 @@ class TestLcmBoundCommand:
         with pytest.raises(SystemExit) as exc:
             main(["lcm-bound", "--s", "1", "--d", "4"])
         assert exc.value.code == 2
+
+    def test_value_beyond_2_96_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lcm-bound", "--d", f"4,2,{2**96}", "--s", "2"])
+        assert exc.value.code == 2
+        assert "2**96" in capsys.readouterr().err
 
     def test_equality_case_json(self, capsys):
         code, out, _ = run_cli(

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from tauwindow.spectral import (
     TrigPolynomial,
-    _energy_dict,
-    _energy_numpy,
     additive_energy,
     autocorrelation,
     frequency_set,
@@ -33,6 +31,14 @@ def pair_count_oracle(a):
         for y in a:
             counts[x - y] = counts.get(x - y, 0) + 1
     return counts
+
+
+def autocorrelation_oracle(terms):
+    coeffs = {}
+    for n1, a1 in terms.items():
+        for n2, a2 in terms.items():
+            coeffs[n1 - n2] = coeffs.get(n1 - n2, 0) + a1 * a2.conjugate()
+    return coeffs
 
 
 def quadruple_energy_oracle(a):
@@ -99,10 +105,16 @@ class TestAdditiveEnergy:
         assert additive_energy([t + u * x for x in a]) == e
 
     def test_fast_and_pure_paths_agree(self):
+        # int64 kernel against the pure-Python pair oracle; then the Python-int
+        # kernel on A u (A + s) with s >= 2^63, whose energy is 6 E(A) once s
+        # exceeds twice the spread of A
         rng = random.Random(3)
         for _ in range(50):
             a = frequency_set(rng.sample(range(10**7), rng.randint(2, 60)))
-            assert _energy_numpy(a) == _energy_dict(a)
+            e = additive_energy(a)
+            assert e == sum(c * c for c in pair_count_oracle(a).values())
+            s = 2**63 + rng.randrange(2**20)
+            assert additive_energy(a + tuple(x + s for x in a)) == 6 * e
 
     def test_huge_frequencies_use_exact_path(self):
         a = [2**95 - 5, 2**95 - 1, 2**95 + 3]  # arithmetic progression: collision
@@ -129,7 +141,7 @@ class TestAutocorrelation:
             assert acf.coeffs[-m] == pytest.approx(c.conjugate(), abs=1e-12)
         c0 = acf.coeffs[0]
         assert c0.imag == 0.0
-        assert c0.real == pytest.approx(l2_norm_sq(f), rel=1e-12)
+        assert c0.real == pytest.approx(sum(abs(a) ** 2 for a in f.terms.values()), rel=1e-12)
 
     def test_real_symmetric_coefficients_give_real_acf(self):
         f = TrigPolynomial({-2: 0.5, -1: 1.0, 1: 1.0, 2: 0.5})
@@ -234,3 +246,56 @@ class TestThreeWayIdentity:
         assert by_energy == by_counts
         assert by_l4 == pytest.approx(by_energy, rel=1e-9)
         assert by_quadrature == pytest.approx(by_energy, rel=1e-6)
+
+
+# The pair-difference kernel works in int64 on the set minus its minimum while
+# the spread is below 2^63, and in exact Python ints beyond.  Sets are built
+# from small offsets so that differences repeat in all three kinds.
+offsets = st.lists(st.integers(0, 250), min_size=1, max_size=14, unique=True)
+kernel_sets = st.one_of(
+    # small values, negative ones included
+    st.lists(st.integers(-100, 250), min_size=1, max_size=14, unique=True),
+    # values above 2^63, spread below 2^63: the translated int64 route
+    st.builds(
+        lambda xs, base, step: [base + step * x for x in xs],
+        offsets,
+        st.integers(2**63, 2**95),
+        st.integers(1, 2**55),
+    ),
+    # spread of 2^63 or more: the Python-int route
+    st.builds(
+        lambda xs, shift: sorted(set(xs) | {x + shift for x in xs}),
+        offsets,
+        st.integers(2**63, 2**70),
+    ),
+)
+
+
+class TestPairKernelRoutes:
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_sets, st.data())
+    def test_public_functions_against_pair_oracles(self, a, data):
+        counts = pair_count_oracle(a)
+        assert representation_counts(a) == counts
+        assert additive_energy(a) == sum(c * c for c in counts.values())
+        assert max_positive_representation(a) == max(
+            (c for m, c in counts.items() if m > 0), default=0
+        )
+        # Gaussian-integer coefficients keep every pair sum exact in float64
+        coefs = st.builds(complex, st.integers(1, 4), st.integers(-3, 3))
+        f = TrigPolynomial({n: data.draw(coefs) for n in a})
+        expected = autocorrelation_oracle(f.terms)
+        acf = autocorrelation(f).coeffs
+        assert acf.keys() == expected.keys()
+        assert all(acf[m] == c for m, c in expected.items())
+        assert l4_norm_4(f) == sum(c.real**2 + c.imag**2 for c in expected.values())
+
+
+class TestAboveFormerCutoffs:
+    def test_3001_elements_against_quadrature(self):
+        # the FFT route shares no code with the pair kernel
+        a = random.Random(5).sample(range(10**6 + 1), 3001)
+        f = unit_polynomial(a)
+        energy = additive_energy(a)
+        assert energy == round(l4_quadrature_oracle(f))
+        assert l4_norm_4(f) == pytest.approx(energy, rel=1e-9)
