@@ -6,9 +6,7 @@ from .arith import (
     Factorization,
     divisors_in_range,
     factorize,
-    gcd_pair,
     is_prime,
-    lcm_factored,
 )
 from .exponents import (
     CUBE_EXPONENT_LIMIT,
@@ -23,10 +21,8 @@ from .exponents import (
 from .lcmbound import (
     LcmBoundCertificate,
     LcmBoundInstance,
-    binomial_colsum_check,
     counterexample_s1,
     verify_lcm_bound,
-    weight_prefix_inequality,
 )
 from .sidon import (
     SidonVerdict,

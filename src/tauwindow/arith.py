@@ -359,24 +359,13 @@ def divisors_in_range(n: int, rng: DivisorRange | tuple[int, int]) -> list[int]:
     return _divisors_mitm(fact, rng)
 
 
-def gcd_pair(a: int, b: int) -> int:
-    """Greatest common divisor of two positive integers."""
-    if a < 1 or b < 1:
-        raise ValueError("gcd_pair expects positive integers")
-    return math.gcd(a, b)
+def _run_bounds(sorted_values: np.ndarray) -> np.ndarray:
+    """Start index of each run of equal values in a sorted array, then its size.
 
-
-def lcm_factored(values: Sequence[Factorization]) -> Factorization:
-    """Least common multiple, computed prime-by-prime so it never overflows."""
-    if not values:
-        raise ValueError("lcm_factored expects a nonempty list")
-    merged: dict[int, int] = {}
-    for fact in values:
-        for p, e in fact.factors:
-            if e > merged.get(p, 0):
-                merged[p] = e
-    factors = tuple(sorted(merged.items()))
-    value = 1
-    for p, e in factors:
-        value *= p**e
-    return Factorization(value, factors)
+    np.unique would copy and re-sort the whole array, which costs more time
+    and memory on the large mark and difference tables this serves.
+    """
+    first = np.empty(sorted_values.size + 1, dtype=bool)
+    first[0] = first[-1] = True
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=first[1:-1])
+    return np.flatnonzero(first)

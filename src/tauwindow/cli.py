@@ -74,7 +74,7 @@ def _diag(message: str) -> None:
 
 
 def _cmd_energy(args: argparse.Namespace) -> tuple[list[str], list[dict], dict, int]:
-    params = {"n": args.n, "k": args.k, "seed": args.seed}
+    params = {"n": args.n, "k": args.k}
     rows = []
     status = 0
     if args.k is not None:
@@ -137,7 +137,7 @@ def _cmd_scan(args: argparse.Namespace, kind: str) -> tuple[list[str], list[dict
     scan = windows.square_window_scan if kind == "square" else windows.cube_window_scan
     report = scan(args.n, args.k, workers=args.workers)
     _diag(f"scan-{kind}s n={args.n} k={args.k}: max_tau={report.max_tau} argmax_m={report.argmax_m}")
-    params = {"n": args.n, "k": args.k, "workers": args.workers, "seed": args.seed}
+    params = {"n": args.n, "k": args.k, "workers": args.workers}
     return _SCAN_COLUMNS, _scan_rows(report), params, 0
 
 
@@ -151,7 +151,7 @@ def _cmd_ruzsa(args: argparse.Namespace) -> tuple[list[str], list[dict], dict, i
     entries = windows.ruzsa_scan(args.n_lo, args.n_hi, args.eps)
     rows = [{"n": e.n, "count": e.count, "running_max": e.running_max} for e in entries]
     _diag(f"ruzsa [{args.n_lo},{args.n_hi}] eps={args.eps}: max count={entries[-1].running_max}")
-    params = {"from": args.n_lo, "to": args.n_hi, "eps": args.eps, "seed": args.seed}
+    params = {"from": args.n_lo, "to": args.n_hi, "eps": args.eps}
     return ["n", "count", "running_max"], rows, params, 0
 
 
@@ -176,7 +176,7 @@ _LCM_COLUMNS = ["r", "s", "d", "p", "exponents", "lhs", "rhs", "prime_tight", "h
 
 
 def _cmd_lcm_bound(args: argparse.Namespace) -> tuple[list[str], list[dict], dict, int]:
-    params = {"d": args.d, "s": args.s, "r": args.r, "seed": args.seed}
+    params = {"d": args.d, "s": args.s, "r": args.r}
     if not args.d or any(x < 1 for x in args.d):
         raise UsageError("lcm-bound requires positive integers in --d")
     if any(x >= arith.MAX_VALUE for x in args.d):
@@ -224,7 +224,7 @@ def _cmd_sidon(args: argparse.Namespace) -> tuple[list[str], list[dict], dict, i
         _diag("FAILURE: window construction is provably Sidon; endpoint arithmetic is wrong")
         status = 1
     cols = ["kind", "n_lo", "n_hi", "checked", "failure_count", "failures"]
-    params = {"kind": args.kind, "from": args.n_lo, "to": args.n_hi, "workers": args.workers, "seed": args.seed}
+    params = {"kind": args.kind, "from": args.n_lo, "to": args.n_hi, "workers": args.workers}
     return cols, rows, params, status
 
 
@@ -243,7 +243,7 @@ def _cmd_exponent(args: argparse.Namespace) -> tuple[list[str], list[dict], dict
                 "gamma_float": res.gamma_float,
             }
         )
-    params = {"power": args.power, "r": args.r, "seed": args.seed}
+    params = {"power": args.power, "r": args.r}
     return ["power", "r", "best_c", "gamma", "gamma_float"], rows, params, 0
 
 
@@ -254,12 +254,21 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _add_common(sub: argparse.ArgumentParser, workers: bool = False) -> None:
     sub.add_argument("--format", choices=("csv", "json"), default="csv", help="report format")
     sub.add_argument("--out", default=None, help="write the report to this path instead of stdout")
-    sub.add_argument("--seed", type=int, default=0, help="echoed into reports; commands are deterministic")
     if workers:
-        sub.add_argument("--workers", type=int, default=1, help="worker processes; results are identical for any value")
+        sub.add_argument("--workers", type=_positive_int, default=1, help="worker processes; results are identical for any value")
 
 
 def build_parser() -> argparse.ArgumentParser:

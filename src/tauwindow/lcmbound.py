@@ -26,9 +26,7 @@ equality cases.  With s = 1 the inequality is false (see counterexample_s1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
-from math import comb, factorial, gcd, lcm
+from math import comb
 from typing import Sequence
 
 from .arith import factorize
@@ -128,69 +126,3 @@ def counterexample_s1(r: int, d: int) -> LcmBoundCertificate:
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
     return _certificate((1,) * (r - 1) + (d,), 1)
-
-
-@dataclass(frozen=True)
-class WeightPrefixResult:
-    lhs: int
-    rhs: int
-    holds: bool
-
-
-def weight_prefix_inequality(r: int, s: int, l: int) -> WeightPrefixResult:
-    """Check that triangular weights prefix-dominate the binomial weights.
-
-    The prefix sums satisfy sum_{i=s..l} delta_i >= sum_{i=s..l} gamma_i iff
-    r! * (l-s+2)! >= l! * (r-s+2)!, which is checked here in exact integers
-    and is true whenever 2 <= s <= l <= r.
-    """
-    if not 2 <= s <= l <= r:
-        raise ValueError(f"need 2 <= s <= l <= r, got r={r}, s={s}, l={l}")
-    lhs = factorial(r) * factorial(l - s + 2)
-    rhs = factorial(l) * factorial(r - s + 2)
-    return WeightPrefixResult(lhs=lhs, rhs=rhs, holds=lhs >= rhs)
-
-
-def binomial_colsum_check(r: int, s: int) -> bool:
-    """Hockey-stick identity: sum_{i=s..r} C(i-1, s-1) == C(r, s)."""
-    if not 1 <= s <= r:
-        raise ValueError(f"need 1 <= s <= r, got r={r}, s={s}")
-    return sum(comb(i - 1, s - 1) for i in range(s, r + 1)) == comb(r, s)
-
-
-def gamma_weights(r: int, s: int) -> dict[int, Fraction]:
-    """Binomial weights gamma_i = C(i-1, s-1) / C(r, s) for i = s..r; sum to 1."""
-    b = comb(r, s)
-    return {i: Fraction(comb(i - 1, s - 1), b) for i in range(s, r + 1)}
-
-
-def delta_weights(r: int, s: int) -> dict[int, Fraction]:
-    """Triangular weights delta_i = 2(i-s+1) / (c(c+1)) for i = s..r; sum to 1."""
-    c = r - s + 1
-    return {i: Fraction(2 * (i - s + 1), c * (c + 1)) for i in range(s, r + 1)}
-
-
-def global_cross_check(d: Sequence[int], s: int) -> bool:
-    """Whole-number form of the bound, cleared of roots:
-
-        (prod subset lcms)^(c(c+1)) * (prod pair gcds)^(2B) >= (prod d_i)^(2Bc)
-
-    Exact big-integer products over all C(r, s) subsets; practical for small r
-    only, and deliberately independent of the per-prime route.
-    """
-    tup = tuple(int(x) for x in d)
-    r = len(tup)
-    if not 2 <= s <= r:
-        raise ValueError(f"need 2 <= s <= r, got {s}")
-    c = r - s + 1
-    b = comb(r, s)
-    prod_lcm = 1
-    for subset in combinations(tup, s):
-        prod_lcm *= lcm(*subset)
-    prod_gcd = 1
-    for x, y in combinations(tup, 2):
-        prod_gcd *= gcd(x, y)
-    prod_all = 1
-    for x in tup:
-        prod_all *= x
-    return prod_lcm ** (c * (c + 1)) * prod_gcd ** (2 * b) >= prod_all ** (2 * b * c)

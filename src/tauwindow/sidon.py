@@ -113,6 +113,8 @@ def verify_window_range(
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
     if n_lo < 1 or n_lo > n_hi:
         raise ValueError("need 1 <= n_lo <= n_hi")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     total = n_hi - n_lo + 1
     if workers <= 1 or total < 4 * workers:
         failures = _check_span((kind, n_lo, n_hi))

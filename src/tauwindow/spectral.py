@@ -20,6 +20,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .arith import _run_bounds
+
 _QUADRATURE_POINT_LIMIT = 1 << 26
 
 RUDIN_REL_TOL = 1e-9
@@ -100,12 +102,7 @@ def _positive_differences(a: tuple[int, ...], weights=None) -> tuple[np.ndarray,
         prods = (w[:, None] * w.conj())[lower]
         order = diffs.argsort()
         diffs, prods = diffs[order], prods[order]
-    # bounds: the start of each run of equal differences, then diffs.size
-    # (np.unique copies and re-sorts the whole table, which costs more time and memory)
-    first = np.empty(diffs.size + 1, dtype=bool)
-    first[0] = first[-1] = True
-    np.not_equal(diffs[1:], diffs[:-1], out=first[1:-1])
-    bounds = np.flatnonzero(first)
+    bounds = _run_bounds(diffs)
     starts = bounds[:-1]
     values = np.diff(bounds) if weights is None else np.add.reduceat(prods, starts)
     return diffs[starts], values

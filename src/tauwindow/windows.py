@@ -1,13 +1,16 @@
 """Divisor counts in short intervals and the reverse window sieve.
 
 tau_interval(m, [a, b]) counts divisors of a single m.  The scans go the other
-way: for every d in a fixed window they walk the multiples of d up to a limit
-and accumulate per-m counts, which yields max_m tau(m; window) for all m at
-once at a cost of roughly sum_d (m_limit / d) marks, independent of how large
-the window endpoints are.  Square scans use the window [2N, 2N+2k] with
-m <= 3Nk, cube scans [3N^2, 3N^2+9Nk] with m <= 7N^2*k: these are exactly the
-window/limit pairs produced by factoring differences of adjacent squares and
-cubes, so per-m counts bound the representation functions of those sets.
+way: every product d * q <= m_limit with d in a fixed window is one mark on
+m = d * q, so counting equal marks yields tau(m; window) for all m at once at
+a cost of roughly sum_d (m_limit / d) marks, independent of how large the
+window endpoints are.  Marks are int64 below 2^63 and exact Python ints
+beyond.  Square scans use the window [2N, 2N+2k] with m <= 3Nk, cube scans
+[3N^2, 3N^2+9Nk] with m <= 7N^2*k: these are exactly the window/limit pairs
+produced by factoring differences of adjacent squares and cubes, so per-m
+counts bound the representation functions of those sets.  With workers > 1 a
+scan splits [window.lo, m_limit] into equal m-ranges, one per process; each
+returns only its histogram and first argmax, so merging adds histograms.
 """
 
 from __future__ import annotations
@@ -18,9 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import DivisorRange, divisors_in_range
-
-_INT64_SAFE = 1 << 62
+from .arith import DivisorRange, divisors_in_range, _run_bounds
 
 
 @dataclass(frozen=True)
@@ -54,93 +55,68 @@ def tau_interval(m: int, rng: DivisorRange | tuple[int, int]) -> int:
     return len(divisors_in_range(m, rng))
 
 
-def _chunk_counts_numpy(d_lo: int, d_hi: int, m_limit: int) -> tuple[np.ndarray, np.ndarray]:
-    parts = [
-        np.arange(d, m_limit + 1, d, dtype=np.int64)
-        for d in range(d_lo, min(d_hi, m_limit) + 1)
-    ]
-    if not parts:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy()
-    marks = np.concatenate(parts)
+def _range_counts(window: DivisorRange, m0: int, m1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every m in [m0, m1] with a divisor in the window, increasing, and that count.
+
+    The marks are the products d * q in [m0, m1] with d in the window.  The loop
+    runs over whichever factor has the shorter range and builds each slice as
+    x * arange(lo, hi + 1): np.arange(start, stop, step) computes its length in
+    floating point and drops the last multiple once the values pass 2^53.
+    """
+    # exact Python ints only when a mark can overflow int64
+    dtype = np.int64 if m1 < 1 << 63 else object
+    d_axis = (window.lo, min(window.hi, m1))
+    q_axis = (-(-m0 // window.hi), m1 // window.lo)
+    (x_lo, x_hi), (y_lo, y_hi) = sorted((d_axis, q_axis), key=lambda r: r[1] - r[0])
+    # every inner range [lo, hi] below has hi >= lo - 1, so its length is the
+    # slice size and the mark array is allocated once
+    slices = [(x, max(y_lo, -(-m0 // x)), min(y_hi, m1 // x)) for x in range(x_lo, x_hi + 1)]
+    marks = np.empty(sum(hi - lo + 1 for _, lo, hi in slices), dtype=dtype)
+    pos = 0
+    for x, lo, hi in slices:
+        np.multiply(np.arange(lo, hi + 1, dtype=dtype), x, out=marks[pos : pos + hi - lo + 1])
+        pos += hi - lo + 1
     marks.sort()
-    change = np.flatnonzero(marks[1:] != marks[:-1])
-    starts = np.concatenate(([0], change + 1))
-    values = marks[starts]
-    counts = np.diff(np.concatenate((starts, [marks.size])))
-    return values, counts
+    bounds = _run_bounds(marks)
+    # rebinding frees the full mark array before the counts are taken
+    marks = marks[bounds[:-1]]
+    return marks, np.diff(bounds)
 
 
-def _chunk_counts_dict(d_lo: int, d_hi: int, m_limit: int) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for d in range(d_lo, min(d_hi, m_limit) + 1):
-        for m in range(d, m_limit + 1, d):
-            counts[m] = counts.get(m, 0) + 1
-    return counts
+def _range_summary(args: tuple[DivisorRange, int, int]) -> tuple[np.ndarray, int | None]:
+    """Histogram of the counts over one m-range and the first m attaining its maximum."""
+    values, counts = _range_counts(*args)
+    first_max = int(values[counts.argmax()]) if counts.size else None
+    return np.bincount(counts, minlength=1), first_max
 
 
-def _scan_chunk(args: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
-    d_lo, d_hi, m_limit = args
-    return _chunk_counts_numpy(d_lo, d_hi, m_limit)
-
-
-def _merge_counts(
-    pieces: list[tuple[np.ndarray, np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray]:
-    values = np.concatenate([p[0] for p in pieces])
-    counts = np.concatenate([p[1] for p in pieces])
-    if values.size == 0:
-        return values, counts
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    counts = counts[order]
-    change = np.flatnonzero(values[1:] != values[:-1])
-    starts = np.concatenate(([0], change + 1))
-    merged_values = values[starts]
-    merged_counts = np.add.reduceat(counts, starts)
-    return merged_values, merged_counts
-
-
-def _sieve_counts(window: DivisorRange, m_limit: int, workers: int) -> tuple[np.ndarray, np.ndarray]:
-    if m_limit >= _INT64_SAFE:
-        counts = _chunk_counts_dict(window.lo, window.hi, m_limit)
-        ms = sorted(counts)
-        return (
-            np.array(ms, dtype=object),
-            np.array([counts[m] for m in ms], dtype=object),
-        )
-    if workers <= 1 or window.hi - window.lo < 2 * workers:
-        return _chunk_counts_numpy(window.lo, window.hi, m_limit)
-    edges = np.linspace(window.lo, window.hi + 1, workers + 1).astype(int)
-    chunks = [
-        (int(edges[i]), int(edges[i + 1]) - 1, m_limit)
-        for i in range(workers)
-        if edges[i] < edges[i + 1]
-    ]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        pieces = list(pool.map(_scan_chunk, chunks))
-    return _merge_counts(pieces)
-
-
-def window_multiple_counts(
-    window: DivisorRange | tuple[int, int], m_limit: int, workers: int = 1
-) -> dict[int, int]:
+def window_multiple_counts(window: DivisorRange | tuple[int, int], m_limit: int) -> dict[int, int]:
     """Per-m divisor counts: {m: tau(m; window)} for every touched m <= m_limit."""
     if not isinstance(window, DivisorRange):
         window = DivisorRange(*window)
-    values, counts = _sieve_counts(window, m_limit, workers)
-    return {int(m): int(c) for m, c in zip(values, counts)}
+    values, counts = _range_counts(window, window.lo, m_limit)
+    return dict(zip(values.tolist(), counts.tolist()))
 
 
 def _assemble_report(n: int, k: int, m_limit: int, window: DivisorRange, workers: int) -> WindowScanReport:
-    values, counts = _sieve_counts(window, m_limit, workers)
-    if len(values) == 0:
-        return WindowScanReport(n, k, m_limit, window, 0, None, {})
-    max_tau = int(counts.max())
-    first = int(np.flatnonzero(counts == max_tau)[0])
-    argmax_m = int(values[first])
-    hist_vals, hist_counts = np.unique(np.asarray(counts, dtype=np.int64), return_counts=True)
-    histogram = {int(t): int(c) for t, c in zip(hist_vals, hist_counts)}
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    # equal m-ranges carry about equal marks; each returns only its summary
+    width = m_limit - window.lo + 1
+    edges = [window.lo + width * i // workers for i in range(workers + 1)]
+    ranges = [(window, a, b - 1) for a, b in zip(edges, edges[1:]) if a < b]
+    if workers == 1:
+        summaries = list(map(_range_summary, ranges))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            summaries = list(pool.map(_range_summary, ranges))
+    size = max(hist.size for hist, _ in summaries)
+    total = np.zeros(size, dtype=np.int64)
+    for hist, _ in summaries:
+        total[: hist.size] += hist
+    max_tau = size - 1
+    argmax_m = next(m for hist, m in summaries if hist.size == size)
+    histogram = {t: c for t, c in enumerate(total.tolist()) if c}
     # cross-check the reported maximum against the direct divisor count
     direct = tau_interval(argmax_m, window)
     if direct != max_tau:

@@ -14,10 +14,31 @@ from tauwindow.arith import (
     _divisors_mitm,
     divisors_in_range,
     factorize,
-    gcd_pair,
     is_prime,
-    lcm_factored,
 )
+
+
+def gcd_pair(a: int, b: int) -> int:
+    """Greatest common divisor of two positive integers."""
+    if a < 1 or b < 1:
+        raise ValueError("gcd_pair expects positive integers")
+    return math.gcd(a, b)
+
+
+def lcm_factored(values: list[Factorization]) -> Factorization:
+    """Least common multiple, computed prime-by-prime so it never overflows."""
+    if not values:
+        raise ValueError("lcm_factored expects a nonempty list")
+    merged: dict[int, int] = {}
+    for fact in values:
+        for p, e in fact.factors:
+            if e > merged.get(p, 0):
+                merged[p] = e
+    factors = tuple(sorted(merged.items()))
+    value = 1
+    for p, e in factors:
+        value *= p**e
+    return Factorization(value, factors)
 
 
 def trial_division_oracle(n: int) -> list[tuple[int, int]]:

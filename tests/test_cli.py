@@ -27,7 +27,7 @@ class TestScanCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["command"] == "scan-cubes"
-        assert doc["parameters"]["n"] == 10
+        assert doc["parameters"] == {"n": 10, "k": 2, "workers": 1}
         rows = doc["rows"]
         assert rows[-1]["max_tau"] == 2
         assert rows[-1]["argmax_m"] == 900
@@ -46,6 +46,20 @@ class TestScanCommands:
         _, first, _ = run_cli(capsys, "scan-squares", "--n", "77", "--k", "12")
         _, second, _ = run_cli(capsys, "scan-squares", "--n", "77", "--k", "12")
         assert first == second
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan-squares", "--n", "10", "--k", "3", "--workers", "0"],
+            ["scan-cubes", "--n", "10", "--k", "2", "--workers", "-1"],
+            ["sidon", "--kind", "square", "--from", "1", "--to", "10", "--workers", "0"],
+        ],
+    )
+    def test_workers_below_one_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
 
     def test_k_greater_than_n_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

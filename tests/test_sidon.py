@@ -142,6 +142,9 @@ class TestVerifyRange:
             verify_window_range("fifth", 1, 10)
         with pytest.raises(ValueError):
             verify_window_range("square", 5, 4)
+        for workers in (0, -1):
+            with pytest.raises(ValueError):
+                verify_window_range("square", 1, 10, workers=workers)
 
 
 class TestShiftedSquareSumSolutions:

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tauwindow.arith import DivisorRange
 from tauwindow.spectral import l2_norm_sq, l4_norm_4, representation_counts, TrigPolynomial
@@ -24,6 +26,31 @@ def brute_window_counts(lo, hi, m_limit):
         if t:
             counts[m] = t
     return counts
+
+
+def mark_count(lo, hi, m_limit):
+    """sum over d in [lo, hi] of floor(m_limit / d), by blocks of equal quotient."""
+    total, d = 0, lo
+    while d <= min(hi, m_limit):
+        q = m_limit // d
+        end = min(hi, m_limit // q)
+        total += q * (end - d + 1)
+        d = end + 1
+    return total
+
+
+def multiples_by_quotient(lo, hi, m_limit):
+    """{m: tau(m; [lo, hi])} for m <= m_limit, from every d * q; for small m_limit / lo."""
+    counts = {}
+    for d in range(lo, min(hi, m_limit) + 1):
+        for q in range(1, m_limit // d + 1):
+            counts[d * q] = counts.get(d * q, 0) + 1
+    return dict(sorted(counts.items()))
+
+
+def tau_by_cofactor(m, lo, hi):
+    """tau(m; [lo, hi]) as the number of cofactors q | m with lo <= m / q <= hi."""
+    return sum(1 for q in range(-(-m // hi), m // lo + 1) if m % q == 0)
 
 
 class TestTauInterval:
@@ -66,6 +93,11 @@ class TestSquareScan:
             square_window_scan(5, 6)
         with pytest.raises(ValueError):
             square_window_scan(5, 0)
+        for workers in (0, -1):
+            with pytest.raises(ValueError):
+                square_window_scan(5, 2, workers=workers)
+            with pytest.raises(ValueError):
+                cube_window_scan(5, 2, workers=workers)
 
     def test_monotone_in_k(self):
         rng = random.Random(13)
@@ -82,10 +114,78 @@ class TestSquareScan:
 
     def test_counts_empty_when_limit_below_window(self):
         assert window_multiple_counts((100, 200), 50) == {}
-        assert window_multiple_counts((100, 200), 50, workers=3) == {}
-        partial = window_multiple_counts((100, 200), 450, workers=3)
-        assert partial == window_multiple_counts((100, 200), 450)
+        assert window_multiple_counts((100, 200), 99) == {}
+        partial = window_multiple_counts((100, 200), 450)
+        assert partial == multiples_by_quotient(100, 200, 450)
         assert partial == brute_window_counts(100, 200, 450)
+
+    def test_last_multiple_counted_past_2_53(self):
+        # m_limit = 3 * 10^16 = 15 * (2N): np.arange(d, m_limit + 1, d) computes
+        # its length in floating point and drops this last multiple
+        rep = square_window_scan(10**15, 10)
+        assert rep.histogram == {1: 295} == {1: mark_count(2 * 10**15, 2 * 10**15 + 20, 3 * 10**16)}
+        counts = window_multiple_counts(rep.window, rep.m_limit)
+        assert counts[3 * 10**16] == 1
+        assert counts == multiples_by_quotient(rep.window.lo, rep.window.hi, rep.m_limit)
+
+    def test_workers_split_exactly_past_2_53(self):
+        # range edges must be exact ints: rounded through floats they miss marks
+        base = square_window_scan(10**17 + 1, 10, workers=1)
+        assert square_window_scan(10**17 + 1, 10, workers=2) == base
+        assert base.histogram == {1: mark_count(base.window.lo, base.window.hi, base.m_limit)}
+
+    @pytest.mark.parametrize("m_limit", [2**63 - 1, 2**63])
+    def test_counts_on_each_side_of_the_int64_limit(self, m_limit):
+        # the largest multiple of the window's middle element is m_limit itself
+        q = 7 if m_limit % 2 else 8
+        d = m_limit // q
+        counts = window_multiple_counts((d - 3, d + 3), m_limit)
+        assert counts == multiples_by_quotient(d - 3, d + 3, m_limit)
+        assert counts[m_limit] == 1
+
+
+def _scan_bands():
+    # cube scans make about 21 * n * k^2 marks, so only squares (about 3k^2
+    # marks) reach the large bands
+    small = st.one_of(
+        st.tuples(st.just("square"), st.integers(1, 300), st.integers(1, 20)),
+        st.tuples(st.just("cube"), st.integers(1, 40), st.integers(1, 4)),
+    )
+    # window ends and marks above 2^53, m_limit below 2^63 (int64 marks)
+    past_2_53 = st.tuples(st.just("square"), st.integers(2**52, 2**56), st.integers(1, 30))
+    # m_limit >= 2^63 (exact Python-int marks)
+    past_2_63 = st.tuples(st.just("square"), st.integers(2**62, 2**70), st.integers(1, 4))
+    return st.one_of(small, past_2_53, past_2_63)
+
+
+class TestScanDifferential:
+    @settings(max_examples=40, deadline=None)
+    @given(_scan_bands(), st.randoms(use_true_random=False))
+    def test_workers_mass_and_direct_counts(self, case, rnd):
+        kind, n, k = case
+        k = min(k, n)
+        scan = square_window_scan if kind == "square" else cube_window_scan
+        rep = scan(n, k, workers=1)
+        for workers in (2, 3):
+            assert scan(n, k, workers=workers) == rep
+        w = rep.window
+        assert sum(t * c for t, c in rep.histogram.items()) == mark_count(w.lo, w.hi, rep.m_limit)
+        assert rep.max_tau == max(rep.histogram) == tau_interval(rep.argmax_m, w)
+        assert tau_by_cofactor(rep.argmax_m, w.lo, w.hi) == rep.max_tau
+        for _ in range(5):
+            d = rnd.randint(w.lo, min(w.hi, rep.m_limit))
+            m = d * rnd.randint(1, rep.m_limit // d)
+            assert 1 <= tau_interval(m, w) == tau_by_cofactor(m, w.lo, w.hi) <= rep.max_tau
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 2**70), st.integers(0, 40), st.integers(1, 40), st.integers(0, 2**70)
+    )
+    def test_window_counts_either_loop_order(self, lo, width, q_max, offset):
+        # the kernel loops over d when the window is shorter than the cofactor range
+        m_limit = lo * q_max + offset % lo
+        counts = window_multiple_counts((lo, lo + width), m_limit)
+        assert counts == multiples_by_quotient(lo, lo + width, m_limit)
 
 
 class TestCubeScan:
