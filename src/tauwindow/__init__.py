@@ -4,6 +4,7 @@ Sidon-window verification."""
 from .arith import (
     DivisorRange,
     Factorization,
+    InputError,
     divisors_in_range,
     factorize,
     is_prime,

@@ -1,7 +1,7 @@
 """Exact integer arithmetic: factorization, divisor enumeration in ranges, gcd/lcm
 in factored form.
 
-Everything here is pure, deterministic, and exact; inputs up to 2**96 are
+Everything here is pure, deterministic, and exact; inputs below 2**96 are
 supported.  Small values (< 2**20) factor through a cached smallest-prime-factor
 table, larger ones through trial division plus a deterministic Pollard-Brent
 splitter, so scan workloads dominated by small m stay fast while occasional
@@ -21,7 +21,6 @@ MAX_VALUE = 1 << 96
 
 _TRIAL_BOUND = 4096
 _SPF_LIMIT = 1 << 20
-_FULL_ENUMERATION_LIMIT = 100_000
 
 # Deterministic Miller-Rabin: these bases decide primality for all n below
 # 3317044064679887385961981 (Sorenson-Webster).  Beyond that a strong Lucas
@@ -32,6 +31,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _SPF: np.ndarray | None = None
 _SMALL_PRIMES: list[int] | None = None
+
+
+class InputError(ValueError):
+    """An argument to a public function violates its stated precondition."""
 
 
 @dataclass(frozen=True)
@@ -79,9 +82,9 @@ class DivisorRange:
 
     def __post_init__(self) -> None:
         if self.lo < 1:
-            raise ValueError(f"range lower bound must be positive, got {self.lo}")
+            raise InputError(f"range lower bound must be positive, got {self.lo}")
         if self.lo > self.hi:
-            raise ValueError(f"empty range: lo={self.lo} > hi={self.hi}")
+            raise InputError(f"empty range: lo={self.lo} > hi={self.hi}")
 
 
 def _spf_table() -> np.ndarray:
@@ -284,7 +287,7 @@ def _split_composite(m: int, out: dict[int, int]) -> None:
 def factorize(n: int) -> Factorization:
     """Prime factorization of n, 1 <= n < 2**96."""
     if n < 1 or n >= MAX_VALUE:
-        raise ValueError(f"factorize expects 1 <= n < 2**96, got {n}")
+        raise InputError(f"factorize expects 1 <= n < 2**96, got {n}")
     if n == 1:
         return Factorization(1, ())
     if n < _SPF_LIMIT:
@@ -309,54 +312,46 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, tuple(sorted(found.items())))
 
 
-def _all_divisors(factors: Sequence[tuple[int, int]]) -> list[int]:
-    divs = [1]
-    for p, e in factors:
-        powers = [p**i for i in range(1, e + 1)]
-        divs += [d * q for d in divs for q in powers]
-    divs.sort()
-    return divs
+def divisors_in_range(n: int, rng: DivisorRange | tuple[int, int]) -> list[int]:
+    """Sorted list of divisors d of n with lo <= d <= hi.
 
-
-def _divisors_mitm(fact: Factorization, rng: DivisorRange) -> list[int]:
-    # split the prime powers into two halves of balanced divisor count,
-    # then match sorted half-divisors against [lo, hi] by binary search
-    left: list[tuple[int, int]] = []
-    right: list[tuple[int, int]] = []
-    tl = tr = 1
-    for p, e in sorted(fact.factors, key=lambda pe: pe[1] + 1, reverse=True):
-        if tl <= tr:
-            left.append((p, e))
-            tl *= e + 1
-        else:
-            right.append((p, e))
-            tr *= e + 1
-    half_a = _all_divisors(left)
-    half_b = _all_divisors(right)
+    Meet in the middle: each prime power of n joins the half with fewer
+    divisors so far, and each half lists its divisors up to hi.  Every a in
+    the shorter half is matched against the sorted longer half by bisection
+    on [lo/a, hi/a].
+    """
+    if not isinstance(rng, DivisorRange):
+        rng = DivisorRange(*rng)
+    lo, hi = rng.lo, rng.hi
+    short, long = [1], [1]
+    for p, e in factorize(n).factors:
+        if len(short) > len(long):
+            short, long = long, short
+        grown = short
+        limit = hi // p
+        for _ in range(e):
+            grown = [d * p for d in grown if d <= limit]
+            short += grown
+    if len(short) > len(long):
+        short, long = long, short
+    long.sort()
     out: list[int] = []
-    for a in half_a:
-        lo_b = (rng.lo + a - 1) // a
-        hi_b = rng.hi // a
-        if lo_b > hi_b:
-            continue
-        i = bisect_left(half_b, lo_b)
-        j = bisect_right(half_b, hi_b)
-        out.extend(a * b for b in half_b[i:j])
+    for a in short:
+        i = bisect_left(long, -(-lo // a))
+        j = bisect_right(long, hi // a, i)
+        if i < j:
+            out += [a * b for b in long[i:j]]
     out.sort()
     return out
 
 
-def divisors_in_range(n: int, rng: DivisorRange | tuple[int, int]) -> list[int]:
-    """Sorted list of divisors d of n with lo <= d <= hi."""
-    if not isinstance(rng, DivisorRange):
-        rng = DivisorRange(*rng)
-    if n < 1:
-        raise ValueError(f"divisors_in_range expects n >= 1, got {n}")
-    fact = factorize(n)
-    if fact.tau() <= _FULL_ENUMERATION_LIMIT:
-        divs = _all_divisors(fact.factors)
-        return divs[bisect_left(divs, rng.lo) : bisect_right(divs, rng.hi)]
-    return _divisors_mitm(fact, rng)
+def _split_range(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:
+    """[lo, hi] as at most one nonempty closed range per worker, of near-equal width."""
+    if workers < 1:
+        raise InputError(f"workers must be a positive integer, got {workers}")
+    width = hi - lo + 1
+    edges = [lo + width * i // workers for i in range(workers + 1)]
+    return [(a, b - 1) for a, b in zip(edges, edges[1:]) if a < b]
 
 
 def _run_bounds(sorted_values: np.ndarray) -> np.ndarray:

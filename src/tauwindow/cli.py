@@ -4,7 +4,8 @@ Reports go to stdout (or --out); progress and summaries go to stderr.  With a
 fixed configuration the report bytes are identical run to run, and identical
 for any --workers value.  Exit status is 0 on success, 1 when a
 theorem-backed invariant fails (that signals a bug, not a discovery), and 2
-for usage errors.
+for usage errors: an InputError, raised by the library's precondition checks
+and by the few checks that only the command line makes.
 """
 
 from __future__ import annotations
@@ -16,13 +17,10 @@ import sys
 from fractions import Fraction
 from typing import Any, Sequence
 
-from . import arith, exponents, lcmbound, sidon, spectral, windows
+from . import exponents, lcmbound, sidon, spectral, windows
+from .arith import InputError
 
 _CSV_JOIN = "|"
-
-
-class UsageError(Exception):
-    """Raised by command handlers for precondition violations; exits 2."""
 
 
 def _cell(value: Any) -> str:
@@ -79,10 +77,10 @@ def _cmd_energy(args: argparse.Namespace) -> tuple[list[str], list[dict], dict, 
     status = 0
     if args.k is not None:
         if len(args.n) != 1:
-            raise UsageError("energy with --k takes exactly one --n")
+            raise InputError("energy with --k takes exactly one --n")
         n, k = args.n[0], args.k
         if not 1 <= k <= n:
-            raise UsageError("energy requires 1 <= k <= n when --k is given")
+            raise InputError("energy requires 1 <= k <= n when --k is given")
         freqs = [(n + s) ** 2 for s in range(k + 1)]
         e = spectral.additive_energy(freqs)
         triv = spectral.trivial_energy(len(freqs))
@@ -94,7 +92,7 @@ def _cmd_energy(args: argparse.Namespace) -> tuple[list[str], list[dict], dict, 
         return ["n", "k", "size", "energy", "trivial_energy"], rows, params, status
     for n in args.n:
         if n < 2:
-            raise UsageError("energy requires --n >= 2 (the n^2 log n scale at n=1 is 0)")
+            raise InputError("energy requires --n >= 2 (the n^2 log n scale at n=1 is 0)")
         freqs = [i * i for i in range(1, n + 1)]
         e = spectral.additive_energy(freqs)
         triv = spectral.trivial_energy(n)
@@ -132,8 +130,6 @@ _SCAN_COLUMNS = ["n", "k", "window_lo", "window_hi", "m_limit", "max_tau", "argm
 
 
 def _cmd_scan(args: argparse.Namespace, kind: str) -> tuple[list[str], list[dict], dict, int]:
-    if not 1 <= args.k <= args.n:
-        raise UsageError(f"scan-{kind}s requires 1 <= k <= n (the difference factorization assumes k <= n)")
     scan = windows.square_window_scan if kind == "square" else windows.cube_window_scan
     report = scan(args.n, args.k, workers=args.workers)
     _diag(f"scan-{kind}s n={args.n} k={args.k}: max_tau={report.max_tau} argmax_m={report.argmax_m}")
@@ -142,12 +138,6 @@ def _cmd_scan(args: argparse.Namespace, kind: str) -> tuple[list[str], list[dict
 
 
 def _cmd_ruzsa(args: argparse.Namespace) -> tuple[list[str], list[dict], dict, int]:
-    if args.n_lo < 1 or args.n_lo > args.n_hi:
-        raise UsageError("ruzsa requires 1 <= from <= to")
-    if not 0 < args.eps < 0.5:
-        raise UsageError("ruzsa requires eps strictly between 0 and 1/2")
-    if args.n_hi >= arith.MAX_VALUE:
-        raise UsageError("ruzsa supports integers below 2**96")
     entries = windows.ruzsa_scan(args.n_lo, args.n_hi, args.eps)
     rows = [{"n": e.n, "count": e.count, "running_max": e.running_max} for e in entries]
     _diag(f"ruzsa [{args.n_lo},{args.n_hi}] eps={args.eps}: max count={entries[-1].running_max}")
@@ -177,25 +167,17 @@ _LCM_COLUMNS = ["r", "s", "d", "p", "exponents", "lhs", "rhs", "prime_tight", "h
 
 def _cmd_lcm_bound(args: argparse.Namespace) -> tuple[list[str], list[dict], dict, int]:
     params = {"d": args.d, "s": args.s, "r": args.r}
-    if not args.d or any(x < 1 for x in args.d):
-        raise UsageError("lcm-bound requires positive integers in --d")
-    if any(x >= arith.MAX_VALUE for x in args.d):
-        raise UsageError("lcm-bound supports integers below 2**96")
     if args.s == 1:
         if args.r is None:
-            raise UsageError("lcm-bound with --s 1 needs --r (builds the tuple (1,...,1,d))")
+            raise InputError("lcm-bound with --s 1 needs --r (builds the tuple (1,...,1,d))")
         if len(args.d) != 1:
-            raise UsageError("lcm-bound with --s 1 takes a single --d value")
+            raise InputError("lcm-bound with --s 1 takes a single --d value")
         cert = lcmbound.counterexample_s1(args.r, args.d[0])
         _diag(
             f"lcm-bound s=1 counterexample r={args.r} d={args.d[0]}: "
             f"holds={cert.holds} (expected False for d >= 2)"
         )
         return _LCM_COLUMNS, _certificate_rows(cert), params, 0
-    if len(args.d) < 2:
-        raise UsageError("lcm-bound needs at least two --d values (comma separated)")
-    if not 2 <= args.s <= len(args.d):
-        raise UsageError(f"lcm-bound requires 2 <= s <= {len(args.d)}")
     cert = lcmbound.verify_lcm_bound(args.d, args.s)
     _diag(f"lcm-bound r={len(args.d)} s={args.s}: holds={cert.holds} equality={cert.equality}")
     status = 0 if cert.holds else 1
@@ -205,8 +187,6 @@ def _cmd_lcm_bound(args: argparse.Namespace) -> tuple[list[str], list[dict], dic
 
 
 def _cmd_sidon(args: argparse.Namespace) -> tuple[list[str], list[dict], dict, int]:
-    if args.n_lo < 1 or args.n_lo > args.n_hi:
-        raise UsageError("sidon requires 1 <= from <= to")
     report = sidon.verify_window_range(args.kind, args.n_lo, args.n_hi, workers=args.workers)
     _diag(f"sidon kind={args.kind}: checked={report.checked} failures={len(report.failures)}")
     rows = [
@@ -231,8 +211,6 @@ def _cmd_sidon(args: argparse.Namespace) -> tuple[list[str], list[dict], dict, i
 def _cmd_exponent(args: argparse.Namespace) -> tuple[list[str], list[dict], dict, int]:
     rows = []
     for r in args.r:
-        if r < 3:
-            raise UsageError("exponent requires --r >= 3 (no interior c otherwise)")
         res = exponents.square_exponent(r) if args.power == "square" else exponents.cube_exponent(r)
         rows.append(
             {
@@ -254,21 +232,11 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
-
-
 def _add_common(sub: argparse.ArgumentParser, workers: bool = False) -> None:
     sub.add_argument("--format", choices=("csv", "json"), default="csv", help="report format")
     sub.add_argument("--out", default=None, help="write the report to this path instead of stdout")
     if workers:
-        sub.add_argument("--workers", type=_positive_int, default=1, help="worker processes; results are identical for any value")
+        sub.add_argument("--workers", type=int, default=1, help="worker processes; results are identical for any value")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,9 +302,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         columns, rows, params, status = args.handler(args)
-    except UsageError as exc:
+    except InputError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
-        return 2  # unreachable; parser.exit raises SystemExit
     except (ValueError, RuntimeError) as exc:
         _diag(f"FAILURE: {exc}")
         return 1

@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import InputError
+
 SQUARE_EXPONENT_LIMIT = (math.sqrt(5) - 1) / 2
 CUBE_EXPONENT_LIMIT = (math.sqrt(17) - 3) / 2
 CUBE_OBJECTIVE_ARGMAX = (math.sqrt(17) - 1) / 4
@@ -56,7 +58,7 @@ def _denominator(r: int, c: int) -> int:
 
 def _optimize(power: str, r: int) -> ExponentResult:
     if r < 3:
-        raise ValueError(f"need r >= 3 so that an interior c exists, got {r}")
+        raise InputError(f"need r >= 3 so that an interior c exists, got {r}")
     best_c = 1
     best_num = _numerator(power, r, 1)
     best_den = _denominator(r, 1)
@@ -82,9 +84,9 @@ def cube_exponent(r: int) -> ExponentResult:
 def continuous_objective(power: str, alpha: float) -> float:
     """Continuous relaxation of the window-exponent objective at alpha in (0,1)."""
     if power not in _POWERS:
-        raise ValueError(f"power must be one of {_POWERS}, got {power!r}")
+        raise InputError(f"power must be one of {_POWERS}, got {power!r}")
     if not 0 < alpha < 1:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+        raise InputError(f"alpha must lie in (0, 1), got {alpha}")
     if power == "square":
         return (2 * alpha - alpha * alpha) / (1 + alpha * alpha)
     return (4 * alpha - 2 * alpha * alpha - 1) / (1 + alpha * alpha)
@@ -97,9 +99,9 @@ def k_threshold_report(n: int, r: int, power: str) -> KThresholdReport:
     constants, so nothing is asserted about scans at this k.
     """
     if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+        raise InputError(f"need n >= 1, got {n}")
     if power not in _POWERS:
-        raise ValueError(f"power must be one of {_POWERS}, got {power!r}")
+        raise InputError(f"power must be one of {_POWERS}, got {power!r}")
     result = _optimize(power, r)
     exponent = result.gamma_float
     return KThresholdReport(exponent=exponent, k_star=math.floor(n**exponent))

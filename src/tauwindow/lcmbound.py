@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
-from .arith import factorize
+from .arith import MAX_VALUE, InputError, factorize
 
 
 @dataclass(frozen=True)
@@ -106,11 +106,12 @@ def verify_lcm_bound(d: Sequence[int], s: int) -> LcmBoundCertificate:
     """
     tup = tuple(int(x) for x in d)
     if len(tup) < 2:
-        raise ValueError("need at least two values")
-    if any(x < 1 for x in tup):
-        raise ValueError("values must be positive integers")
+        raise InputError("need at least two values")
+    # all of them up front, before any factorization runs
+    if any(not 1 <= x < MAX_VALUE for x in tup):
+        raise InputError("values must be positive integers below 2**96")
     if not 2 <= s <= len(tup):
-        raise ValueError(f"subset size s must satisfy 2 <= s <= {len(tup)}, got {s}")
+        raise InputError(f"subset size s must satisfy 2 <= s <= {len(tup)}, got {s}")
     return _certificate(tup, s)
 
 
@@ -122,7 +123,5 @@ def counterexample_s1(r: int, d: int) -> LcmBoundCertificate:
     For d = 1 the certificate is vacuous (no primes, both sides 1).
     """
     if r < 2:
-        raise ValueError(f"need r >= 2, got {r}")
-    if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
+        raise InputError(f"need r >= 2, got {r}")
     return _certificate((1,) * (r - 1) + (d,), 1)

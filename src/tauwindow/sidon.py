@@ -18,6 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
+from .arith import InputError, _split_range
 from .spectral import additive_energy, frequency_set, trivial_energy
 
 _KINDS = ("square", "cube")
@@ -69,7 +70,7 @@ def is_sidon(freqs: Iterable[int]) -> SidonVerdict:
 def squares_window(n: int) -> tuple[int, ...]:
     """{m^2 : n <= m <= n + floor(sqrt(8n))}; Sidon for every n >= 1."""
     if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+        raise InputError(f"need n >= 1, got {n}")
     width = math.isqrt(8 * n)
     return tuple((n + s) ** 2 for s in range(width + 1))
 
@@ -87,7 +88,7 @@ def _half_cbrt_floor(n: int) -> int:
 def cubes_window(n: int) -> tuple[int, ...]:
     """{m^3 : n <= m <= n + floor((n/2)^(1/3))}; Sidon for every n >= 1."""
     if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+        raise InputError(f"need n >= 1, got {n}")
     width = _half_cbrt_floor(n)
     return tuple((n + s) ** 3 for s in range(width + 1))
 
@@ -110,24 +111,16 @@ def verify_window_range(
     endpoint arithmetic (not the mathematics) is wrong.
     """
     if kind not in _KINDS:
-        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
+        raise InputError(f"kind must be one of {_KINDS}, got {kind!r}")
     if n_lo < 1 or n_lo > n_hi:
-        raise ValueError("need 1 <= n_lo <= n_hi")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    total = n_hi - n_lo + 1
-    if workers <= 1 or total < 4 * workers:
-        failures = _check_span((kind, n_lo, n_hi))
+        raise InputError("need 1 <= n_lo <= n_hi")
+    spans = [(kind, a, b) for a, b in _split_range(n_lo, n_hi, workers)]
+    if len(spans) == 1:
+        parts = list(map(_check_span, spans))
     else:
-        step = (total + workers - 1) // workers
-        spans = [
-            (kind, lo, min(lo + step - 1, n_hi))
-            for lo in range(n_lo, n_hi + 1, step)
-        ]
-        failures = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_check_span, spans):
-                failures.extend(part)
+        with ProcessPoolExecutor(max_workers=len(spans)) as pool:
+            parts = list(pool.map(_check_span, spans))
+    failures = [n for part in parts for n in part]
     return WindowRangeReport(
-        kind=kind, n_lo=n_lo, n_hi=n_hi, checked=total, failures=tuple(failures)
+        kind=kind, n_lo=n_lo, n_hi=n_hi, checked=n_hi - n_lo + 1, failures=tuple(failures)
     )

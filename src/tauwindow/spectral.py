@@ -20,7 +20,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .arith import _run_bounds
+from .arith import InputError, _run_bounds
 
 _QUADRATURE_POINT_LIMIT = 1 << 26
 
@@ -31,10 +31,10 @@ def frequency_set(values: Iterable[int]) -> tuple[int, ...]:
     """Normalize to a strictly increasing tuple; rejects duplicates."""
     elems = tuple(sorted(int(v) for v in values))
     if not elems:
-        raise ValueError("frequency set must be nonempty")
+        raise InputError("frequency set must be nonempty")
     for x, y in zip(elems, elems[1:]):
         if x == y:
-            raise ValueError(f"duplicate frequency {x}")
+            raise InputError(f"duplicate frequency {x}")
     return elems
 
 
@@ -50,10 +50,6 @@ class TrigPolynomial:
             if a != 0:
                 self.terms[int(n)] = a
 
-    @classmethod
-    def unit(cls, freqs: Iterable[int]) -> "TrigPolynomial":
-        return cls({n: 1.0 for n in frequency_set(freqs)})
-
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(self.terms))
 
@@ -63,7 +59,7 @@ class TrigPolynomial:
 
 def unit_polynomial(freqs: Iterable[int]) -> TrigPolynomial:
     """Polynomial with coefficient 1 on every given frequency."""
-    return TrigPolynomial.unit(freqs)
+    return TrigPolynomial({n: 1.0 for n in frequency_set(freqs)})
 
 
 @dataclass(frozen=True)
@@ -137,7 +133,7 @@ def trivial_energy(size: int) -> int:
 def autocorrelation(f: TrigPolynomial) -> Autocorrelation:
     """c_m = sum over n1 - n2 = m of a_{n1} * conj(a_{n2})."""
     if not f.terms:
-        raise ValueError("autocorrelation of the empty polynomial")
+        raise InputError("autocorrelation of the empty polynomial")
     support = f.support()
     diffs, sums = _positive_differences(support, [f.terms[n] for n in support])
     coeffs: dict[int, complex] = {0: complex(l2_norm_sq(f))}
@@ -185,13 +181,13 @@ def l4_quadrature_oracle(f: TrigPolynomial) -> float:
     exactly, so huge frequencies lose no precision.
     """
     if not f.terms:
-        raise ValueError("quadrature oracle of the empty polynomial")
+        raise InputError("quadrature oracle of the empty polynomial")
     support = f.support()
     base = support[0]
     spread = support[-1] - base
     points = 2 * (2 * spread) + 3
     if points > _QUADRATURE_POINT_LIMIT:
-        raise ValueError(f"frequency spread {spread} needs {points} quadrature points; too wide")
+        raise InputError(f"frequency spread {spread} needs {points} quadrature points; too wide")
     q = _smooth_length(points)
     buf = np.zeros(q, dtype=np.complex128)
     for n in support:
@@ -215,7 +211,7 @@ def rudin_certificate(f: TrigPolynomial) -> RudinCertificate:
     a discovery.
     """
     if not f.terms:
-        raise ValueError("certificate of the empty polynomial")
+        raise InputError("certificate of the empty polynomial")
     max_r = max_positive_representation(f.support())
     lhs = l4_norm_4(f)
     l2sq = l2_norm_sq(f)

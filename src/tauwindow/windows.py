@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import DivisorRange, divisors_in_range, _run_bounds
+from .arith import MAX_VALUE, DivisorRange, InputError, divisors_in_range, _run_bounds, _split_range
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,6 @@ class RuzsaEntry:
 
 def tau_interval(m: int, rng: DivisorRange | tuple[int, int]) -> int:
     """Number of divisors of m in the closed interval."""
-    if m < 1:
-        raise ValueError(f"tau_interval expects m >= 1, got {m}")
     return len(divisors_in_range(m, rng))
 
 
@@ -99,16 +97,14 @@ def window_multiple_counts(window: DivisorRange | tuple[int, int], m_limit: int)
 
 
 def _assemble_report(n: int, k: int, m_limit: int, window: DivisorRange, workers: int) -> WindowScanReport:
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    if m_limit >= MAX_VALUE:
+        raise InputError(f"scans need m_limit < 2**96 to cross-check the argmax, got {m_limit}")
     # equal m-ranges carry about equal marks; each returns only its summary
-    width = m_limit - window.lo + 1
-    edges = [window.lo + width * i // workers for i in range(workers + 1)]
-    ranges = [(window, a, b - 1) for a, b in zip(edges, edges[1:]) if a < b]
-    if workers == 1:
+    ranges = [(window, a, b) for a, b in _split_range(window.lo, m_limit, workers)]
+    if len(ranges) == 1:
         summaries = list(map(_range_summary, ranges))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
             summaries = list(pool.map(_range_summary, ranges))
     size = max(hist.size for hist, _ in summaries)
     total = np.zeros(size, dtype=np.int64)
@@ -133,18 +129,18 @@ def square_window_scan(n: int, k: int, workers: int = 1) -> WindowScanReport:
     factor in this window, so max_tau bounds the representation counts there.
     """
     if n < 1 or k < 1:
-        raise ValueError("square_window_scan expects n >= 1 and k >= 1")
+        raise InputError("square_window_scan expects n >= 1 and k >= 1")
     if k > n:
-        raise ValueError(f"square_window_scan requires k <= n, got k={k} > n={n}")
+        raise InputError(f"square_window_scan requires k <= n, got k={k} > n={n}")
     return _assemble_report(n, k, 3 * n * k, DivisorRange(2 * n, 2 * n + 2 * k), workers)
 
 
 def cube_window_scan(n: int, k: int, workers: int = 1) -> WindowScanReport:
     """Scan m <= 7*n^2*k for divisors in [3n^2, 3n^2+9nk] (cube analogue)."""
     if n < 1 or k < 1:
-        raise ValueError("cube_window_scan expects n >= 1 and k >= 1")
+        raise InputError("cube_window_scan expects n >= 1 and k >= 1")
     if k > n:
-        raise ValueError(f"cube_window_scan requires k <= n, got k={k} > n={n}")
+        raise InputError(f"cube_window_scan requires k <= n, got k={k} > n={n}")
     nn = n * n
     return _assemble_report(n, k, 7 * nn * k, DivisorRange(3 * nn, 3 * nn + 9 * n * k), workers)
 
@@ -157,9 +153,11 @@ def ruzsa_scan(n_lo: int, n_hi: int, eps: float) -> list[RuzsaEntry]:
     floating point, which is fine for an empirical probe.
     """
     if not 0 < eps < 0.5:
-        raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
+        raise InputError(f"eps must lie in (0, 1/2), got {eps}")
     if n_lo < 1 or n_lo > n_hi:
-        raise ValueError("ruzsa_scan expects 1 <= n_lo <= n_hi")
+        raise InputError("ruzsa_scan expects 1 <= n_lo <= n_hi")
+    if n_hi >= MAX_VALUE:
+        raise InputError(f"ruzsa_scan supports integers below 2**96, got n_hi={n_hi}")
     out: list[RuzsaEntry] = []
     running = 0
     for n in range(n_lo, n_hi + 1):
@@ -180,10 +178,8 @@ def square_representations(m: int, n: int, k: int) -> list[tuple[int, int]]:
     s2 = (d - 2n - e) / 2, accepted only when both are integers in [0, k].
     Parity rejection is exact integer arithmetic.
     """
-    if m < 1:
-        raise ValueError(f"square_representations expects m >= 1, got {m}")
     if n < 1 or k < 1 or k > n:
-        raise ValueError("square_representations expects 1 <= k <= n")
+        raise InputError("square_representations expects 1 <= k <= n")
     pairs: list[tuple[int, int]] = []
     for d in divisors_in_range(m, DivisorRange(2 * n, 2 * n + 2 * k)):
         e = m // d

@@ -11,7 +11,6 @@ from tauwindow.arith import (
     MAX_VALUE,
     DivisorRange,
     Factorization,
-    _divisors_mitm,
     divisors_in_range,
     factorize,
     is_prime,
@@ -179,17 +178,42 @@ class TestDivisorsInRange:
         # primorial of the first 17 primes has 2^17 > 1e5 divisors
         primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
         n = math.prod(primes)
-        fact = factorize(n)
-        assert fact.tau() == 2**17
-        rng_obj = DivisorRange(10**4, 10**6)
-        via_mitm = _divisors_mitm(fact, rng_obj)
+        assert factorize(n).tau() == 2**17
         # independent route: filter the full divisor list built right here
         divs = [1]
         for p in primes:
             divs += [d * p for d in divs]
         expected = sorted(d for d in divs if 10**4 <= d <= 10**6)
-        assert via_mitm == expected
-        assert divisors_in_range(n, rng_obj) == expected
+        assert divisors_in_range(n, DivisorRange(10**4, 10**6)) == expected
+
+    @pytest.mark.parametrize("p, e", [(2, 1), (2, 40), (3, 25), (10**6 + 3, 2), (65521, 5)])
+    def test_prime_powers(self, p, e):
+        n = p**e
+        powers = [p**i for i in range(e + 1)]
+        for lo, hi in [(1, n), (2, n - 1), (p, p), (p + 1, p * p - 1), (math.isqrt(n), 2 * math.isqrt(n))]:
+            if 1 <= lo <= hi:
+                expected = [d for d in powers if lo <= d <= hi]
+                assert divisors_in_range(n, DivisorRange(lo, hi)) == expected
+
+    @pytest.mark.parametrize(
+        "exponents",
+        [
+            # 2^6 3^4 5^3 7^2 11^2 13 17 ... 41: tau = 7*5*4*3*3*2^8 = 322560
+            {2: 6, 3: 4, 5: 3, 7: 2, 11: 2, 13: 1, 17: 1, 19: 1, 23: 1, 29: 1, 31: 1, 37: 1, 41: 1},
+            # one high prime power beside many small primes: tau = 31*3*2^11 = 190464
+            {2: 30, 3: 2, 5: 1, 7: 1, 11: 1, 13: 1, 17: 1, 19: 1, 23: 1, 29: 1, 31: 1, 37: 1, 41: 1},
+        ],
+    )
+    def test_many_divisors_around_sqrt(self, exponents):
+        n = math.prod(p**e for p, e in exponents.items())
+        divs = [1]
+        for p, e in exponents.items():
+            divs = [d * p**i for d in divs for i in range(e + 1)]
+        assert len(divs) > 10**5
+        root = math.isqrt(n)
+        for lo, hi in [(root // 2, 2 * root), (root, root + root // 1000), (root - 10**6, root + 10**6), (root + 1, root + 1)]:
+            expected = sorted(d for d in divs if lo <= d <= hi)
+            assert divisors_in_range(n, DivisorRange(lo, hi)) == expected
 
     def test_range_validation(self):
         with pytest.raises(ValueError):

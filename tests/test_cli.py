@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from tauwindow import windows
 from tauwindow.cli import main
 
 
@@ -66,6 +67,22 @@ class TestScanCommands:
             main(["scan-squares", "--n", "5", "--k", "6"])
         assert exc.value.code == 2
         assert "k <= n" in capsys.readouterr().err
+
+    def test_m_limit_beyond_2_96_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan-squares", "--n", str(10**30), "--k", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        # refused for its m_limit before sieving, not when the argmax is factorized
+        assert "m_limit" in err and "2**96" in err and "FAILURE" not in err
+
+    def test_cross_check_mismatch_is_failure(self, capsys, monkeypatch):
+        # an invariant failure, not a usage error: exit 1 with FAILURE
+        monkeypatch.setattr(windows, "tau_interval", lambda m, rng: 0)
+        code, out, err = run_cli(capsys, "scan-squares", "--n", "10", "--k", "3")
+        assert code == 1
+        assert out == ""
+        assert "FAILURE" in err and "direct count is 0" in err
 
 
 class TestExponentCommand:
@@ -149,6 +166,16 @@ class TestRuzsaCommand:
         assert exc.value.code == 2
         assert "2**96" in capsys.readouterr().err
 
+    def test_range_to_2_96_refused_before_any_count(self, capsys, monkeypatch):
+        def no_divisor_counts(*args):
+            raise AssertionError("ruzsa counted divisors before refusing its range")
+
+        monkeypatch.setattr(windows, "tau_interval", no_divisor_counts)
+        with pytest.raises(SystemExit) as exc:
+            main(["ruzsa", "--from", "2", "--to", str(2**96), "--eps", "0.25"])
+        assert exc.value.code == 2
+        assert "2**96" in capsys.readouterr().err
+
 
 class TestLcmBoundCommand:
     def test_certificate_rows(self, capsys):
@@ -183,6 +210,13 @@ class TestLcmBoundCommand:
         with pytest.raises(SystemExit) as exc:
             main(["lcm-bound", "--s", "1", "--d", "4"])
         assert exc.value.code == 2
+
+    def test_s1_with_r_below_two_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lcm-bound", "--s", "1", "--r", "1", "--d", "4"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "r >= 2" in err and "FAILURE" not in err
 
     def test_value_beyond_2_96_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

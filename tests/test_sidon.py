@@ -137,6 +137,10 @@ class TestVerifyRange:
             "cube", 1, 400
         )
 
+    def test_more_workers_than_values_agree(self):
+        # 3 values of N over 4 workers: one range is empty and is dropped
+        assert verify_window_range("cube", 5, 7, workers=4) == verify_window_range("cube", 5, 7)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             verify_window_range("fifth", 1, 10)
