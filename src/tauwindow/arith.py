@@ -2,10 +2,9 @@
 in factored form.
 
 Everything here is pure, deterministic, and exact; inputs below 2**96 are
-supported.  Small values (< 2**20) factor through a cached smallest-prime-factor
-table, larger ones through trial division plus a deterministic Pollard-Brent
-splitter, so scan workloads dominated by small m stay fast while occasional
-large values remain correct.
+supported.  Every n factors by one route: trial division by the primes up to
+4096, then a primality test, a perfect-power check and a deterministic
+Pollard-Brent splitter on whatever cofactor is left.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import numpy as np
 MAX_VALUE = 1 << 96
 
 _TRIAL_BOUND = 4096
-_SPF_LIMIT = 1 << 20
 
 # Deterministic Miller-Rabin: these bases decide primality for all n below
 # 3317044064679887385961981 (Sorenson-Webster).  Beyond that a strong Lucas
@@ -29,8 +27,18 @@ _SPF_LIMIT = 1 << 20
 _MR_PROVEN_LIMIT = 3317044064679887385961981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_SPF: np.ndarray | None = None
-_SMALL_PRIMES: list[int] | None = None
+
+def _primes_upto(n: int) -> tuple[int, ...]:
+    """Primes p <= n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return tuple(p for p in range(n + 1) if sieve[p])
+
+
+_SMALL_PRIMES = _primes_upto(_TRIAL_BOUND)
 
 
 class InputError(ValueError):
@@ -85,26 +93,6 @@ class DivisorRange:
             raise InputError(f"range lower bound must be positive, got {self.lo}")
         if self.lo > self.hi:
             raise InputError(f"empty range: lo={self.lo} > hi={self.hi}")
-
-
-def _spf_table() -> np.ndarray:
-    global _SPF
-    if _SPF is None:
-        spf = np.zeros(_SPF_LIMIT, dtype=np.int32)
-        for p in range(2, math.isqrt(_SPF_LIMIT) + 1):
-            if spf[p] == 0:
-                block = spf[p * p :: p]
-                block[block == 0] = p
-        _SPF = spf
-    return _SPF
-
-
-def _small_primes() -> list[int]:
-    global _SMALL_PRIMES
-    if _SMALL_PRIMES is None:
-        spf = _spf_table()
-        _SMALL_PRIMES = [int(p) for p in np.flatnonzero(spf[2 : _TRIAL_BOUND + 1] == 0) + 2]
-    return _SMALL_PRIMES
 
 
 def _miller_rabin(n: int, bases: Sequence[int]) -> bool:
@@ -199,9 +187,7 @@ def is_prime(n: int) -> bool:
 
 
 def _iroot(x: int, e: int) -> int:
-    """Floor of the e-th root, exactly."""
-    if e == 1 or x < 2:
-        return x
+    """Floor of the e-th root for e >= 2, exactly."""
     if e == 2:
         return math.isqrt(x)
     r = int(round(x ** (1.0 / e)))
@@ -251,27 +237,10 @@ def _pollard_brent(n: int) -> int:
         c += 1
 
 
-def _factorize_small(n: int) -> list[tuple[int, int]]:
-    spf = _spf_table()
-    out: list[tuple[int, int]] = []
-    while n > 1:
-        p = int(spf[n]) or n
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        out.append((p, e))
-    return out
-
-
 def _split_composite(m: int, out: dict[int, int]) -> None:
     stack: list[tuple[int, int]] = [(m, 1)]
     while stack:
         x, mult = stack.pop()
-        if x < _SPF_LIMIT:
-            for p, e in _factorize_small(x):
-                out[p] = out.get(p, 0) + e * mult
-            continue
         if is_prime(x):
             out[x] = out.get(x, 0) + mult
             continue
@@ -285,16 +254,16 @@ def _split_composite(m: int, out: dict[int, int]) -> None:
 
 
 def factorize(n: int) -> Factorization:
-    """Prime factorization of n, 1 <= n < 2**96."""
+    """Prime factorization of n, 1 <= n < 2**96.
+
+    One route for every n: trial division by the primes up to 4096, then the
+    cofactor is 1, a prime, or split by _split_composite.
+    """
     if n < 1 or n >= MAX_VALUE:
         raise InputError(f"factorize expects 1 <= n < 2**96, got {n}")
-    if n == 1:
-        return Factorization(1, ())
-    if n < _SPF_LIMIT:
-        return Factorization(n, tuple(_factorize_small(n)))
     found: dict[int, int] = {}
     m = n
-    for p in _small_primes():
+    for p in _SMALL_PRIMES:
         if p * p > m:
             break
         if m % p == 0:
@@ -305,8 +274,9 @@ def factorize(n: int) -> Factorization:
             found[p] = e
     if m > 1:
         if m <= _TRIAL_BOUND * _TRIAL_BOUND:
-            # no prime factor below its square root remains, so m is prime
-            found[m] = found.get(m, 0) + 1
+            # every prime factor of m is at least the first prime not tried,
+            # whose square exceeds m (or is 4099^2 once the primes run out)
+            found[m] = 1
         else:
             _split_composite(m, found)
     return Factorization(n, tuple(sorted(found.items())))

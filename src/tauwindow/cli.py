@@ -236,7 +236,7 @@ def _add_common(sub: argparse.ArgumentParser, workers: bool = False) -> None:
     sub.add_argument("--format", choices=("csv", "json"), default="csv", help="report format")
     sub.add_argument("--out", default=None, help="write the report to this path instead of stdout")
     if workers:
-        sub.add_argument("--workers", type=int, default=1, help="worker processes; results are identical for any value")
+        sub.add_argument("--workers", type=int, default=1, help="parts to split the work into, run by at most one process per CPU; results are identical for any value")
 
 
 def build_parser() -> argparse.ArgumentParser:

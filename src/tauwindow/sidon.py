@@ -14,6 +14,7 @@ powers at the boundary cannot misround.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
@@ -118,7 +119,8 @@ def verify_window_range(
     if len(spans) == 1:
         parts = list(map(_check_span, spans))
     else:
-        with ProcessPoolExecutor(max_workers=len(spans)) as pool:
+        # a pool forks all its processes at once; more than one per CPU only adds forks
+        with ProcessPoolExecutor(max_workers=min(len(spans), os.cpu_count() or 1)) as pool:
             parts = list(pool.map(_check_span, spans))
     failures = [n for part in parts for n in part]
     return WindowRangeReport(

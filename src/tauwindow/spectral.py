@@ -79,11 +79,12 @@ class RudinCertificate:
     holds: bool
 
 
-def _positive_differences(a: tuple[int, ...], weights=None) -> tuple[np.ndarray, np.ndarray]:
+def _positive_differences(a: tuple[int, ...], weights=None) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Distinct positive differences y - x (x < y in the sorted set a), increasing.
 
-    Returns (diffs, values): values[k] counts the pairs with y - x == diffs[k],
-    or, with weights aligned to a, sums w_y * conj(w_x) over those pairs.
+    Returns (diffs, counts, sums): counts[k] counts the pairs with
+    y - x == diffs[k]; with weights aligned to a, sums[k] adds w_y * conj(w_x)
+    over those pairs, and without weights sums is None.
     """
     # exact Python ints only when the translated values overflow int64
     dtype = np.int64 if a[-1] - a[0] < 1 << 63 else object
@@ -100,14 +101,16 @@ def _positive_differences(a: tuple[int, ...], weights=None) -> tuple[np.ndarray,
         diffs, prods = diffs[order], prods[order]
     bounds = _run_bounds(diffs)
     starts = bounds[:-1]
-    values = np.diff(bounds) if weights is None else np.add.reduceat(prods, starts)
-    return diffs[starts], values
+    # rebinding frees the full difference array before the sums and counts
+    diffs = diffs[starts]
+    sums = None if weights is None else np.add.reduceat(prods, starts)
+    return diffs, np.diff(bounds), sums
 
 
 def representation_counts(freqs: Iterable[int]) -> dict[int, int]:
     """r(m) = number of ordered pairs (n1, n2) with n1 - n2 = m, all m."""
     a = frequency_set(freqs)
-    diffs, counts = _positive_differences(a)
+    diffs, counts, _ = _positive_differences(a)
     r = {0: len(a)}
     for m, c in zip(diffs.tolist(), counts.tolist()):
         r[m] = r[-m] = c
@@ -121,7 +124,7 @@ def additive_energy(freqs: Iterable[int]) -> int:
     exactly on Sidon sets.
     """
     a = frequency_set(freqs)
-    _, counts = _positive_differences(a)
+    _, counts, _ = _positive_differences(a)
     return len(a) ** 2 + 2 * int(np.dot(counts, counts))
 
 
@@ -135,7 +138,7 @@ def autocorrelation(f: TrigPolynomial) -> Autocorrelation:
     if not f.terms:
         raise InputError("autocorrelation of the empty polynomial")
     support = f.support()
-    diffs, sums = _positive_differences(support, [f.terms[n] for n in support])
+    diffs, _, sums = _positive_differences(support, [f.terms[n] for n in support])
     coeffs: dict[int, complex] = {0: complex(l2_norm_sq(f))}
     for m, c in zip(diffs.tolist(), sums.tolist()):
         coeffs[m] = c
@@ -148,13 +151,17 @@ def l2_norm_sq(f: TrigPolynomial) -> float:
     return sum(f.terms[n].real ** 2 + f.terms[n].imag ** 2 for n in sorted(f.terms))
 
 
+def _fourth_moment(f: TrigPolynomial) -> tuple[float, int]:
+    """||f||_4^4 = sum_m |c_m|^2 and max_{m>0} r(m) on supp(f), from one table."""
+    support = f.support()
+    _, counts, sums = _positive_differences(support, [f.terms[n] for n in support])
+    l4 = l2_norm_sq(f) ** 2 + 2 * float(np.sum(sums.real**2 + sums.imag**2))
+    return l4, int(counts.max(initial=0))
+
+
 def l4_norm_4(f: TrigPolynomial) -> float:
     """Fourth power of the L4 norm, via ||f||_4^4 = sum_m |c_m|^2."""
-    if not f.terms:
-        return 0.0
-    support = f.support()
-    _, sums = _positive_differences(support, [f.terms[n] for n in support])
-    return l2_norm_sq(f) ** 2 + 2 * float(np.sum(sums.real**2 + sums.imag**2))
+    return _fourth_moment(f)[0] if f.terms else 0.0
 
 
 def _smooth_length(n: int) -> int:
@@ -200,7 +207,7 @@ def l4_quadrature_oracle(f: TrigPolynomial) -> float:
 
 def max_positive_representation(freqs: Iterable[int]) -> int:
     """max over m > 0 of r(m); zero for a singleton set."""
-    _, counts = _positive_differences(frequency_set(freqs))
+    _, counts, _ = _positive_differences(frequency_set(freqs))
     return int(counts.max(initial=0))
 
 
@@ -212,8 +219,7 @@ def rudin_certificate(f: TrigPolynomial) -> RudinCertificate:
     """
     if not f.terms:
         raise InputError("certificate of the empty polynomial")
-    max_r = max_positive_representation(f.support())
-    lhs = l4_norm_4(f)
+    lhs, max_r = _fourth_moment(f)
     l2sq = l2_norm_sq(f)
     rhs = (1 + max_r) * l2sq * l2sq
     return RudinCertificate(lhs=lhs, rhs=rhs, max_r=max_r, holds=lhs <= rhs * (1 + RUDIN_REL_TOL))

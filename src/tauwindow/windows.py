@@ -9,13 +9,14 @@ beyond.  Square scans use the window [2N, 2N+2k] with m <= 3Nk, cube scans
 [3N^2, 3N^2+9Nk] with m <= 7N^2*k: these are exactly the window/limit pairs
 produced by factoring differences of adjacent squares and cubes, so per-m
 counts bound the representation functions of those sets.  With workers > 1 a
-scan splits [window.lo, m_limit] into equal m-ranges, one per process; each
+scan splits [window.lo, m_limit] into equal m-ranges, one per worker; each
 returns only its histogram and first argmax, so merging adds histograms.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -104,7 +105,8 @@ def _assemble_report(n: int, k: int, m_limit: int, window: DivisorRange, workers
     if len(ranges) == 1:
         summaries = list(map(_range_summary, ranges))
     else:
-        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
+        # a pool forks all its processes at once; more than one per CPU only adds forks
+        with ProcessPoolExecutor(max_workers=min(len(ranges), os.cpu_count() or 1)) as pool:
             summaries = list(pool.map(_range_summary, ranges))
     size = max(hist.size for hist, _ in summaries)
     total = np.zeros(size, dtype=np.int64)

@@ -87,6 +87,15 @@ class TestFactorize:
         assert factorize(2**40).factors == ((2, 40),)
         assert factorize((10**6 + 3) ** 2).factors == ((10**6 + 3, 2),)
 
+    def test_single_route_against_trial_division(self):
+        # every n < 2^16; the 4096^2 prime shortcut and the old 2^20 table edge
+        # from both sides; cofactors whose prime factors all exceed the trial
+        # primes (the largest is 4093, the next prime 4099)
+        edges = [c + i for c in (4096**2, 2**20) for i in range(-50, 51)]
+        cofactors = [4093**2, 4099**2, 4099 * 4111, 4099**5, (10**6 + 3) ** 3, 4099 * 4111 * 4127]
+        for n in [*range(1, 1 << 16), *edges, *cofactors]:
+            assert factorize(n).factors == tuple(trial_division_oracle(n)), n
+
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 10**12))
     def test_round_trip_hypothesis(self, n):

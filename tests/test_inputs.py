@@ -6,6 +6,8 @@ checks on its own results (Factorization's, the scan cross-check, the Sidon
 witness) stay plain ValueError or RuntimeError.
 """
 
+import os
+
 import pytest
 
 import tauwindow
@@ -94,3 +96,41 @@ def test_factorization_invariant_is_not_input_error():
     with pytest.raises(ValueError) as exc:
         Factorization(12, ((3, 1), (2, 2)))
     assert not isinstance(exc.value, InputError)
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: runs in process and records
+    (max_workers, parts mapped) for each map call."""
+
+    calls: list[tuple[int, int]] = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        items = list(items)
+        self.calls.append((self.max_workers, len(items)))
+        return map(fn, items)
+
+
+POOLED = {
+    "square_scan": (windows, lambda w: windows.square_window_scan(50, 7, workers=w)),
+    "cube_scan": (windows, lambda w: windows.cube_window_scan(6, 2, workers=w)),
+    "sidon_range": (sidon, lambda w: sidon.verify_window_range("cube", 1, 200, workers=w)),
+}
+
+
+@pytest.mark.parametrize("module, call", POOLED.values(), ids=POOLED.keys())
+def test_pool_size_capped_at_cpu_count(monkeypatch, module, call):
+    # 64 workers still split the work 64 ways, but the pool forks no more
+    # processes than there are CPUs; the fake pool starts none
+    monkeypatch.setattr(module, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "calls", [])
+    assert call(64) == call(1)
+    assert _InlinePool.calls == [(min(64, os.cpu_count() or 1), 64)]

@@ -278,9 +278,8 @@ class TestPairKernelRoutes:
         counts = pair_count_oracle(a)
         assert representation_counts(a) == counts
         assert additive_energy(a) == sum(c * c for c in counts.values())
-        assert max_positive_representation(a) == max(
-            (c for m, c in counts.items() if m > 0), default=0
-        )
+        max_r = max((c for m, c in counts.items() if m > 0), default=0)
+        assert max_positive_representation(a) == max_r
         # Gaussian-integer coefficients keep every pair sum exact in float64
         coefs = st.builds(complex, st.integers(1, 4), st.integers(-3, 3))
         f = TrigPolynomial({n: data.draw(coefs) for n in a})
@@ -289,6 +288,10 @@ class TestPairKernelRoutes:
         assert acf.keys() == expected.keys()
         assert all(acf[m] == c for m, c in expected.items())
         assert l4_norm_4(f) == sum(c.real**2 + c.imag**2 for c in expected.values())
+        # the certificate reads max_r and lhs off the weighted table alone
+        cert = rudin_certificate(f)
+        assert (cert.max_r, cert.lhs) == (max_r, l4_norm_4(f))
+        assert cert.holds
 
 
 class TestAboveFormerCutoffs:
