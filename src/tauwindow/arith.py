@@ -199,8 +199,12 @@ def _iroot(x: int, e: int) -> int:
 
 
 def _perfect_power(x: int) -> tuple[int, int]:
-    """Return (e, root) with root**e == x and e maximal, or (1, x)."""
-    for e in range(x.bit_length() - 1, 1, -1):
+    """Return (e, root) with root**e == x and e maximal, or (1, x).
+
+    x has no prime factor below 4099 > 2^12, so a root**e == x has
+    x > 2^(12e), which bounds e by (bit_length - 1) // 12.
+    """
+    for e in range((x.bit_length() - 1) // 12, 1, -1):
         r = _iroot(x, e)
         if r >= 2 and r**e == x:
             return e, r

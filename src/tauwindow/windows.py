@@ -1,16 +1,24 @@
-"""Divisor counts in short intervals and the reverse window sieve.
+"""Divisor counts in short intervals and the pair-lcm window scan.
 
-tau_interval(m, [a, b]) counts divisors of a single m.  The scans go the other
-way: every product d * q <= m_limit with d in a fixed window is one mark on
-m = d * q, so counting equal marks yields tau(m; window) for all m at once at
-a cost of roughly sum_d (m_limit / d) marks, independent of how large the
-window endpoints are.  Marks are int64 below 2^63 and exact Python ints
-beyond.  Square scans use the window [2N, 2N+2k] with m <= 3Nk, cube scans
-[3N^2, 3N^2+9Nk] with m <= 7N^2*k: these are exactly the window/limit pairs
-produced by factoring differences of adjacent squares and cubes, so per-m
-counts bound the representation functions of those sets.  With workers > 1 a
-scan splits [window.lo, m_limit] into equal m-ranges, one per worker; each
-returns only its histogram and first argmax, so merging adds histograms.
+tau_interval(m, [a, b]) counts divisors of a single m.  The scans count
+tau(m; window) for every m <= m_limit at once, from pairs of window divisors:
+d1 = g*a < d2 = g*b with gcd(a, b) = 1 both divide m iff their lcm g*a*b
+does, and g*a >= lo forces b <= m_limit / lo.  An m with t window divisors is
+hit by exactly C(t, 2) pair-lcm multiples, so the hit counts give every
+tau >= 2; the m with tau = 1 are what is left of sum_d floor(m_limit / d),
+which is summed over blocks of equal quotient.  The cost is
+sum_m C(tau(m), 2) multiples plus at most m_limit / lo loop steps, however
+large the window endpoints are.  Square scans use the window [2N, 2N+2k] with
+m <= 3Nk, cube scans [3N^2, 3N^2+9Nk] with m <= 7N^2*k: these are exactly the
+window/limit pairs produced by factoring differences of adjacent squares and
+cubes, so per-m counts bound the representation functions of those sets.  Two
+divisors of a square window have gcd <= 2k, so their lcm is at least 2N^2/k
+and a scan with 3k^2 < 2N has no pairs at all.  Marks are int64 below 2^63 and
+exact Python ints beyond.  With workers > 1 a scan splits [window.lo, m_limit]
+into equal m-ranges, one per worker; each returns only its histogram and first
+argmax, so merging adds histograms.  window_multiple_counts keeps the reverse
+sieve, one mark for every multiple of every window element, as the per-m
+oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from .arith import MAX_VALUE, DivisorRange, InputError, divisors_in_range, _run_
 
 @dataclass(frozen=True)
 class WindowScanReport:
-    """Result of one reverse-sieve scan.
+    """Result of one window scan.
 
     histogram maps each attained tau value (>= 1) to the number of m <= m_limit
     attaining it; untouched m have tau 0 and are not recorded.
@@ -82,11 +90,94 @@ def _range_counts(window: DivisorRange, m0: int, m1: int) -> tuple[np.ndarray, n
     return marks, np.diff(bounds)
 
 
+def _progressions(first: np.ndarray, step: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """first[i] + step[i] * arange(count[i]) for every i, concatenated; every count >= 1.
+
+    One cumsum over the repeated steps builds every run at once: each run's
+    first entry is reset to its start minus the previous run's last value.
+    """
+    out = np.repeat(step, count)
+    starts = np.cumsum(count) - count
+    out[starts] = first
+    out[starts[1:]] -= (first + step * (count - 1))[:-1]
+    return np.cumsum(out, out=out)
+
+
+def _pair_lcm_marks(window: DivisorRange, m0: int, m1: int) -> np.ndarray:
+    """Every multiple in [m0, m1] of lcm(d1, d2), once per pair d1 < d2 in the window; sorted.
+
+    Write d1 = g*a and d2 = g*b with gcd(a, b) = 1, so lcm(d1, d2) = g*a*b.
+    g*a >= lo and g*a*b <= m1 give b <= m1 / lo; g*a >= lo and g*b <= hi give
+    a >= b*lo/hi, which leaves some a < b only once b >= hi / (hi - lo).  The
+    window must have hi > lo.
+    """
+    # exact Python ints only when a mark can overflow int64
+    dtype = np.int64 if m1 < 1 << 63 else object
+    lo, hi = window.lo, window.hi
+    parts = [np.empty(0, dtype=dtype)]
+    for b in range(-(-hi // (hi - lo)), m1 // lo + 1):
+        a = np.arange(-(-b * lo // hi), b)
+        a = a[np.gcd(a, b) == 1].astype(dtype)
+        ab = a * b
+        g_lo = -(-lo // a)
+        g_count = np.minimum(hi // b, m1 // ab) - g_lo + 1
+        keep = g_count > 0
+        g_lo, g_count = g_lo[keep], g_count[keep].astype(np.int64)
+        lcm = np.repeat(ab[keep], g_count) * _progressions(g_lo, np.ones_like(g_lo), g_count)
+        j_lo = -(-m0 // lcm)
+        j_count = m1 // lcm - j_lo + 1
+        keep = j_count > 0
+        lcm = lcm[keep]
+        parts.append(_progressions(lcm * j_lo[keep], lcm, j_count[keep].astype(np.int64)))
+    marks = np.concatenate(parts)
+    del parts
+    marks.sort()
+    return marks
+
+
+def _multiple_count(window: DivisorRange, x: int) -> int:
+    """sum over d in the window of floor(x / d), by blocks of equal quotient."""
+    total, d, top = 0, window.lo, min(window.hi, x)
+    while d <= top:
+        q = x // d
+        end = min(top, x // q)
+        total += q * (end - d + 1)
+        d = end + 1
+    return total
+
+
 def _range_summary(args: tuple[DivisorRange, int, int]) -> tuple[np.ndarray, int | None]:
-    """Histogram of the counts over one m-range and the first m attaining its maximum."""
-    values, counts = _range_counts(*args)
-    first_max = int(values[counts.argmax()]) if counts.size else None
-    return np.bincount(counts, minlength=1), first_max
+    """Histogram of tau(m; window) over one m-range and the first m attaining its maximum.
+
+    An m with t window divisors is hit by exactly C(t, 2) pair lcms, so the
+    hit counts give every tau >= 2, and the m with tau = 1 are what is left
+    of the range's divisor incidences sum_d #{m in [m0, m1] : d | m}.  With
+    no pairs the first maximum is reported as window.lo: only the first
+    range contains it, and the merge takes the first range of greatest tau.
+    """
+    window, m0, m1 = args
+    marks = _pair_lcm_marks(window, m0, m1)
+    bounds = _run_bounds(marks)
+    hits = np.diff(bounds)
+    tau_counts = {}
+    for c, number in enumerate(np.bincount(hits).tolist()):
+        if c and number:
+            t = (1 + math.isqrt(1 + 8 * c)) // 2
+            if t * (t - 1) != 2 * c:
+                raise RuntimeError(
+                    f"{number} m in [{m0}, {m1}] are hit by {c} window-divisor pairs, not C(t, 2) for any t"
+                )
+            tau_counts[t] = number
+    incidences = _multiple_count(window, m1) - _multiple_count(window, m0 - 1)
+    singles = incidences - sum(t * number for t, number in tau_counts.items())
+    if singles:
+        tau_counts[1] = singles
+    # Python-int counts: the tau = 1 count is never materialized and can pass 2^63
+    hist = np.zeros(max(tau_counts, default=0) + 1, dtype=object)
+    hist[list(tau_counts)] = list(tau_counts.values())
+    if hits.size:
+        return hist, int(marks[bounds[hits.argmax()]])
+    return hist, window.lo if singles else None
 
 
 def window_multiple_counts(window: DivisorRange | tuple[int, int], m_limit: int) -> dict[int, int]:
@@ -109,7 +200,7 @@ def _assemble_report(n: int, k: int, m_limit: int, window: DivisorRange, workers
         with ProcessPoolExecutor(max_workers=min(len(ranges), os.cpu_count() or 1)) as pool:
             summaries = list(pool.map(_range_summary, ranges))
     size = max(hist.size for hist, _ in summaries)
-    total = np.zeros(size, dtype=np.int64)
+    total = np.zeros(size, dtype=object)
     for hist, _ in summaries:
         total[: hist.size] += hist
     max_tau = size - 1
@@ -119,7 +210,7 @@ def _assemble_report(n: int, k: int, m_limit: int, window: DivisorRange, workers
     direct = tau_interval(argmax_m, window)
     if direct != max_tau:
         raise RuntimeError(
-            f"sieve reported tau={max_tau} at m={argmax_m} but direct count is {direct}"
+            f"scan reported tau={max_tau} at m={argmax_m} but direct count is {direct}"
         )
     return WindowScanReport(n, k, m_limit, window, max_tau, argmax_m, histogram)
 

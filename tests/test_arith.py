@@ -96,6 +96,12 @@ class TestFactorize:
         for n in [*range(1, 1 << 16), *edges, *cofactors]:
             assert factorize(n).factors == tuple(trial_division_oracle(n)), n
 
+    def test_perfect_power_cofactors_at_the_exponent_bound(self):
+        # roots are at least 4099 > 2^12, so exponents stop at (bit_length - 1) // 12;
+        # 4099^7 has 85 bits and 4111^6 has 73, each right at that bound
+        for n in (4099**7, 4111**6, 4099**3 * 4111**3):
+            assert factorize(n).factors == tuple(trial_division_oracle(n)), n
+
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 10**12))
     def test_round_trip_hypothesis(self, n):

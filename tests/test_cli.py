@@ -1,9 +1,15 @@
 """Tests for the command-line front end."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tauwindow
 from tauwindow import windows
 from tauwindow.cli import main
 
@@ -75,6 +81,27 @@ class TestScanCommands:
         err = capsys.readouterr().err
         # refused for its m_limit before sieving, not when the argmax is factorized
         assert "m_limit" in err and "2**96" in err and "FAILURE" not in err
+
+    def test_pair_free_cube_scan_past_2_63_in_4_gib(self):
+        # the window [2.7e19, 2.7e19 + 2.7e10] holds no two divisors of any
+        # m <= 6.3e19, so the scan is a quotient-block sum; one mark per
+        # multiple would need hundreds of GiB
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+        src = str(Path(tauwindow.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tauwindow", "scan-cubes", "--n", "3000000000", "--k", "1"],
+            capture_output=True,
+            text=True,
+            env=env,
+            preexec_fn=limit_address_space,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        header, *rows = proc.stdout.strip().splitlines()
+        assert [dict(zip(header.split(","), row.split(",")))["max_tau"] for row in rows] == ["1"]
 
     def test_cross_check_mismatch_is_failure(self, capsys, monkeypatch):
         # an invariant failure, not a usage error: exit 1 with FAILURE

@@ -1,9 +1,10 @@
-"""Tests for tau in intervals, reverse window sieves, and representation recovery."""
+"""Tests for tau in intervals, pair-lcm window scans, the reverse sieve oracle, and representation recovery."""
 
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tauwindow.arith import DivisorRange
@@ -16,6 +17,7 @@ from tauwindow.windows import (
     square_window_scan,
     tau_interval,
     window_multiple_counts,
+    _range_summary,
 )
 
 
@@ -145,8 +147,8 @@ class TestSquareScan:
 
 
 def _scan_bands():
-    # cube scans make about 21 * n * k^2 marks, so only squares (about 3k^2
-    # marks) reach the large bands
+    # the sieve oracle makes about 21 * n * k^2 marks for a cube scan, so only
+    # squares (about 3k^2 marks) reach the large bands
     small = st.one_of(
         st.tuples(st.just("square"), st.integers(1, 300), st.integers(1, 20)),
         st.tuples(st.just("cube"), st.integers(1, 40), st.integers(1, 4)),
@@ -177,6 +179,48 @@ class TestScanDifferential:
             m = d * rnd.randint(1, rep.m_limit // d)
             assert 1 <= tau_interval(m, w) == tau_by_cofactor(m, w.lo, w.hi) <= rep.max_tau
 
+    @settings(max_examples=40, deadline=None)
+    @given(_scan_bands())
+    @example(("square", 300, 20))
+    @example(("cube", 40, 4))
+    def test_pair_lcm_report_matches_the_sieve(self, case):
+        kind, n, k = case
+        k = min(k, n)
+        scan = square_window_scan if kind == "square" else cube_window_scan
+        rep = scan(n, k, workers=1)
+        counts = window_multiple_counts(rep.window, rep.m_limit)
+        histogram = dict(Counter(counts.values()))
+        max_tau = max(histogram)
+        argmax_m = min(m for m, t in counts.items() if t == max_tau)
+        for workers in (1, 2, 3):
+            rep = scan(n, k, workers=workers)
+            assert (rep.histogram, rep.max_tau, rep.argmax_m) == (histogram, max_tau, argmax_m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(3, 60),
+        st.integers(2**62, 2**66),
+        st.integers(0, 200),
+        st.integers(0, 200),
+        st.integers(0, 10**4),
+        st.integers(0, 10**4),
+    )
+    @example(40, 2**63 + 2**40, 7, 9, 5000, 5000)
+    def test_pair_lcm_kernel_past_2_63(self, b, target, x, y, below, above):
+        # d1 = g*(b - 1) and d2 = g*b share the lcm g*b*(b - 1) near target, so
+        # m in [m0, m1] has pairs, and its window divisors have cofactors
+        # within one of b; no scan window has pairs this far out at a cost an
+        # oracle can match
+        g = target // (b * (b - 1))
+        lo, hi = g * (b - 1) - x, g * b + y
+        m0, m1 = g * b * (b - 1) - below, g * b * (b - 1) + above
+        taus = [tau_by_cofactor(m, lo, hi) for m in range(m0, m1 + 1)]
+        hist, first_max = _range_summary((DivisorRange(lo, hi), m0, m1))
+        expected = Counter(t for t in taus if t)
+        assert {t: c for t, c in enumerate(hist.tolist()) if c} == dict(expected)
+        assert hist.size - 1 == max(taus) >= 2
+        assert first_max == m0 + taus.index(max(taus))
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.integers(1, 2**70), st.integers(0, 40), st.integers(1, 40), st.integers(0, 2**70)
@@ -186,6 +230,35 @@ class TestScanDifferential:
         m_limit = lo * q_max + offset % lo
         counts = window_multiple_counts((lo, lo + width), m_limit)
         assert counts == multiples_by_quotient(lo, lo + width, m_limit)
+
+
+class TestPairFreeWindows:
+    """Two divisors d1 < d2 of [2N, 2N+2k] have gcd <= d2 - d1 <= 2k, so
+    lcm(d1, d2) >= (2N)^2 / 2k = 2N^2 / k, which exceeds m_limit = 3Nk once
+    3k^2 < 2N: then every touched m has exactly one window divisor."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3000), st.one_of(st.integers(0, 2**40), st.integers(2**62, 2**70)))
+    def test_square_scans_below_the_r2_bound(self, k, extra):
+        n = 3 * k * k // 2 + 1 + extra
+        rep = square_window_scan(n, k)
+        assert rep.max_tau == 1
+        assert rep.argmax_m == 2 * n
+        assert rep.histogram == {1: mark_count(2 * n, 2 * n + 2 * k, 3 * n * k)}
+
+    def test_fixed_square_case(self):
+        rep = square_window_scan(10**9, 2000)
+        assert (rep.max_tau, rep.argmax_m) == (1, 2 * 10**9)
+        assert rep.histogram == {1: 11999000} == {1: mark_count(2 * 10**9, 2 * 10**9 + 4000, 6 * 10**12)}
+
+    def test_histogram_past_int64_stays_exact(self):
+        # cube windows are pair-free once n > 7k^2 (lcm >= n^3 / k > 7n^2 k);
+        # here the one-divisor count itself passes 2^63
+        n, k = 2**42, 400
+        rep = cube_window_scan(n, k)
+        count = mark_count(3 * n * n, 3 * n * n + 9 * n * k, 7 * n * n * k)
+        assert count > 2**63
+        assert (rep.max_tau, rep.argmax_m, rep.histogram) == (1, 3 * n * n, {1: count})
 
 
 class TestCubeScan:
