@@ -20,12 +20,14 @@ MAX_VALUE = 1 << 96
 
 _TRIAL_BOUND = 4096
 
-# Deterministic Miller-Rabin: these bases decide primality for all n below
-# 3317044064679887385961981 (Sorenson-Webster).  Beyond that a strong Lucas
-# test is added (Baillie-PSW style); no counterexample to that combination is
-# known anywhere, let alone below 2**96.
-_MR_PROVEN_LIMIT = 3317044064679887385961981
+# Deterministic Miller-Rabin: for each (limit, count) the first count bases
+# decide primality for all n below limit, which is the least strong
+# pseudoprime to those bases (psi_7 by Jaeschke, psi_9 by Jiang-Deng, psi_12 by
+# Sorenson-Webster).  From psi_12 up a strong Lucas test is added (Baillie-PSW
+# style); no counterexample to that combination is known anywhere, let alone
+# below 2**96.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_PREFIXES = ((341550071728321, 7), (3825123056546413051, 9), (318665857834031151167461, 12))
 
 
 def _primes_upto(n: int) -> tuple[int, ...]:
@@ -171,7 +173,7 @@ def _strong_lucas(n: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic for n below ~3.3e24; strong-Lucas-reinforced beyond."""
+    """Deterministic for n below psi_12 ~ 3.2e23; strong-Lucas-reinforced beyond."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -179,11 +181,10 @@ def is_prime(n: int) -> bool:
             return n == p
     if n < 41 * 41:
         return True
-    if not _miller_rabin(n, _MR_BASES):
-        return False
-    if n < _MR_PROVEN_LIMIT:
-        return True
-    return _strong_lucas(n)
+    for limit, count in _MR_PREFIXES:
+        if n < limit:
+            return _miller_rabin(n, _MR_BASES[:count])
+    return _miller_rabin(n, _MR_BASES) and _strong_lucas(n)
 
 
 def _iroot(x: int, e: int) -> int:

@@ -7,24 +7,26 @@ does, and g*a >= lo forces b <= m_limit / lo.  An m with t window divisors is
 hit by exactly C(t, 2) pair-lcm multiples, so the hit counts give every
 tau >= 2; the m with tau = 1 are what is left of sum_d floor(m_limit / d),
 which is summed over blocks of equal quotient.  The cost is
-sum_m C(tau(m), 2) multiples plus at most m_limit / lo loop steps, however
-large the window endpoints are.  Square scans use the window [2N, 2N+2k] with
-m <= 3Nk, cube scans [3N^2, 3N^2+9Nk] with m <= 7N^2*k: these are exactly the
-window/limit pairs produced by factoring differences of adjacent squares and
-cubes, so per-m counts bound the representation functions of those sets.  Two
-divisors of a square window have gcd <= 2k, so their lcm is at least 2N^2/k
-and a scan with 3k^2 < 2N has no pairs at all.  Marks are int64 below 2^63 and
-exact Python ints beyond.  With workers > 1 a scan splits [window.lo, m_limit]
-into equal m-ranges, one per worker; each returns only its histogram and first
-argmax, so merging adds histograms.  window_multiple_counts keeps the reverse
-sieve, one mark for every multiple of every window element, as the per-m
-oracle.
+sum_m C(tau(m), 2) multiples plus the pairs that produce them, enumerated in
+numpy blocks of _BLOCK entries however large the window endpoints are; the
+memory is one mark array of exact size plus one block.  Square scans use the
+window [2N, 2N+2k] with m <= 3Nk, cube scans [3N^2, 3N^2+9Nk] with
+m <= 7N^2*k: these are exactly the window/limit pairs produced by factoring
+differences of adjacent squares and cubes, so per-m counts bound the
+representation functions of those sets.  Two divisors of a square window have
+gcd <= 2k, so their lcm is at least 2N^2/k and a scan with 3k^2 < 2N has no
+pairs at all.  Marks are int64 below 2^63 and exact Python ints beyond.  With
+workers > 1 a scan splits [window.lo, m_limit] into equal m-ranges, one per
+worker; each returns only its histogram and first argmax, so merging adds
+histograms.  window_multiple_counts keeps the reverse sieve, one mark for
+every multiple of every window element, as the per-m oracle.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -90,6 +92,10 @@ def _range_counts(window: DivisorRange, m0: int, m1: int) -> tuple[np.ndarray, n
     return marks, np.diff(bounds)
 
 
+# entries per numpy block of the pair-lcm kernel: its working memory beside the marks
+_BLOCK = 1 << 13
+
+
 def _progressions(first: np.ndarray, step: np.ndarray, count: np.ndarray) -> np.ndarray:
     """first[i] + step[i] * arange(count[i]) for every i, concatenated; every count >= 1.
 
@@ -103,34 +109,98 @@ def _progressions(first: np.ndarray, step: np.ndarray, count: np.ndarray) -> np.
     return np.cumsum(out, out=out)
 
 
+def _blocks(
+    first: np.ndarray, step: np.ndarray, count: np.ndarray
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """_progressions(first, step, count) in consecutive blocks of at most _BLOCK entries.
+
+    Yields (rows, sizes, values): values is the next block, rows the slice of
+    progressions it draws from and sizes how many entries each gives.  A
+    progression that crosses a block edge is split there.  Every count >= 1.
+    """
+    ends = np.cumsum(count)
+    total = int(ends[-1]) if ends.size else 0
+    for start in range(0, total, _BLOCK):
+        stop = min(start + _BLOCK, total)
+        i0 = int(np.searchsorted(ends, start, side="right"))
+        i1 = int(np.searchsorted(ends, stop, side="left")) + 1
+        rows = slice(i0, i1)
+        # the first progression may have begun, and the last may go on, past this block
+        skipped = start - int(ends[i0] - count[i0])
+        sizes = count[rows].copy()
+        sizes[0] -= skipped
+        sizes[-1] -= int(ends[i1 - 1]) - stop
+        head = first[rows].copy()
+        head[0] += step[i0] * skipped
+        yield rows, sizes, _progressions(head, step[rows], sizes)
+
+
 def _pair_lcm_marks(window: DivisorRange, m0: int, m1: int) -> np.ndarray:
     """Every multiple in [m0, m1] of lcm(d1, d2), once per pair d1 < d2 in the window; sorted.
 
     Write d1 = g*a and d2 = g*b with gcd(a, b) = 1, so lcm(d1, d2) = g*a*b.
     g*a >= lo and g*a*b <= m1 give b <= m1 / lo; g*a >= lo and g*b <= hi give
     a >= b*lo/hi, which leaves some a < b only once b >= hi / (hi - lo).  The
-    window must have hi > lo.
+    window must have hi > lo.  The marks of (a, b) are a*b*g*j in [m0, m1]
+    with g in [ceil(lo/a), hi/b]; whichever of g and j has the shorter range
+    is expanded, and each of its values gives one progression in the other.
+    Every level (b, a per b, that factor per (a, b), the marks) is expanded
+    in blocks of _BLOCK entries; a first pass counts the marks, so a second
+    fills one array of exact size.
     """
     # exact Python ints only when a mark can overflow int64
     dtype = np.int64 if m1 < 1 << 63 else object
     lo, hi = window.lo, window.hi
-    parts = [np.empty(0, dtype=dtype)]
-    for b in range(-(-hi // (hi - lo)), m1 // lo + 1):
-        a = np.arange(-(-b * lo // hi), b)
-        a = a[np.gcd(a, b) == 1].astype(dtype)
+    b_lo, b_hi = -(-hi // (hi - lo)), m1 // lo
+    if b_lo > b_hi:
+        return np.empty(0, dtype=dtype)
+
+    def factor_ranges(a, b):
+        """a*b for each coprime a < b with marks, the shorter of its g and j
+        ranges as (first, count) and the longer as (lo, hi)."""
         ab = a * b
         g_lo = -(-lo // a)
-        g_count = np.minimum(hi // b, m1 // ab) - g_lo + 1
-        keep = g_count > 0
-        g_lo, g_count = g_lo[keep], g_count[keep].astype(np.int64)
-        lcm = np.repeat(ab[keep], g_count) * _progressions(g_lo, np.ones_like(g_lo), g_count)
-        j_lo = -(-m0 // lcm)
-        j_count = m1 // lcm - j_lo + 1
-        keep = j_count > 0
-        lcm = lcm[keep]
-        parts.append(_progressions(lcm * j_lo[keep], lcm, j_count[keep].astype(np.int64)))
-    marks = np.concatenate(parts)
-    del parts
+        g_hi = np.minimum(hi // b, m1 // ab)
+        # the cheap g test first: it leaves fewer gcds to take
+        keep = g_hi >= g_lo
+        a, b, ab, g_lo, g_hi = a[keep], b[keep], ab[keep], g_lo[keep], g_hi[keep]
+        keep = np.gcd(a, b) == 1
+        ab, g_lo, g_hi = ab[keep], g_lo[keep], g_hi[keep]
+        j_lo = -(-m0 // (ab * g_hi))
+        j_hi = m1 // (ab * g_lo)
+        keep = j_hi >= j_lo
+        ab, g_lo, g_hi, j_lo, j_hi = ab[keep], g_lo[keep], g_hi[keep], j_lo[keep], j_hi[keep]
+        swap = j_hi - j_lo < g_hi - g_lo
+        x_lo, x_hi = np.where(swap, j_lo, g_lo), np.where(swap, j_hi, g_hi)
+        y_lo, y_hi = np.where(swap, g_lo, j_lo), np.where(swap, g_hi, j_hi)
+        return ab, x_lo, (x_hi - x_lo + 1).astype(np.int64), y_lo, y_hi
+
+    def multiples(step, y_lo, y_hi):
+        """step*y in [m0, m1] with y in [y_lo, y_hi], as progressions (first, step, count)."""
+        y_first = np.maximum(y_lo, -(-m0 // step))
+        y_count = np.minimum(y_hi, m1 // step) - y_first + 1
+        keep = y_count > 0
+        step = step[keep]
+        return step * y_first[keep], step, y_count[keep].astype(np.int64, copy=False)
+
+    def mark_progressions():
+        """multiples() for one block of (a, b, x) at a time, x the expanded factor."""
+        one = np.ones(1, dtype=dtype)
+        for _, _, b in _blocks(np.array([b_lo], dtype=dtype), one, np.array([b_hi - b_lo + 1])):
+            # every b >= b_lo has some a in [a_lo, b - 1]
+            a_lo = -(-b * lo // hi)
+            for rows, sizes, a in _blocks(a_lo, np.ones_like(a_lo), (b - a_lo).astype(np.int64)):
+                ab, x_lo, x_count, y_lo, y_hi = factor_ranges(a, np.repeat(b[rows], sizes))
+                for rows, sizes, x in _blocks(x_lo, np.ones_like(x_lo), x_count):
+                    y_lo_x, y_hi_x = np.repeat(y_lo[rows], sizes), np.repeat(y_hi[rows], sizes)
+                    yield multiples(np.repeat(ab[rows], sizes) * x, y_lo_x, y_hi_x)
+
+    marks = np.empty(sum(int(count.sum()) for _, _, count in mark_progressions()), dtype=dtype)
+    pos = 0
+    for first, step, count in mark_progressions():
+        for _, _, values in _blocks(first, step, count):
+            marks[pos : pos + values.size] = values
+            pos += values.size
     marks.sort()
     return marks
 

@@ -161,6 +161,53 @@ class TestIsPrime:
         # composite above the proven Miller-Rabin range
         assert not is_prime((2**61 - 1) * (2**89 - 1))
 
+    def test_psi_12_is_composite(self):
+        # the least strong pseudoprime to all twelve bases: Miller-Rabin alone
+        # calls it prime, so the strong Lucas stage must start at psi_12
+        from tauwindow.arith import _MR_BASES, _miller_rabin
+
+        psi_12, p, q = 318665857834031151167461, 399165290221, 798330580441
+        assert p * q == psi_12
+        assert trial_division_oracle(p) == [(p, 1)] and trial_division_oracle(q) == [(q, 1)]
+        assert _miller_rabin(psi_12, _MR_BASES)
+        assert not is_prime(psi_12)
+        assert factorize(psi_12).factors == ((p, 1), (q, 1))
+
+    @pytest.mark.parametrize(
+        "n, bases", [(3215031751, 4), (341550071728321, 7), (3825123056546413051, 9)]
+    )
+    def test_strong_pseudoprimes_at_the_base_prefix_limits(self, n, bases):
+        # n is a strong pseudoprime to the first `bases` primes and the least
+        # one where that prefix stops deciding, so is_prime needs more bases
+        from tauwindow.arith import _MR_BASES, _miller_rabin
+
+        assert _miller_rabin(n, _MR_BASES[:bases])
+        assert not is_prime(n)
+
+    def test_below_2_16_against_sieve(self):
+        limit = 1 << 16
+        sieve = bytearray([1]) * limit
+        sieve[:2] = b"\0\0"
+        for i in range(2, math.isqrt(limit) + 1):
+            if sieve[i]:
+                sieve[i * i :: i] = bytes(len(range(i * i, limit, i)))
+        assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+    def test_base_prefixes_agree_with_all_twelve_bases(self):
+        # every n < 2**64 < psi_12 is decided by the twelve bases
+        from tauwindow.arith import _MR_BASES, _miller_rabin
+
+        def twelve_bases(n):
+            for p in _MR_BASES:
+                if n % p == 0:
+                    return n == p
+            return n > 1 and _miller_rabin(n, _MR_BASES)
+
+        rng = random.Random(20240607)
+        for _ in range(10**4):
+            n = rng.getrandbits(rng.randint(2, 64)) | 1
+            assert is_prime(n) == twelve_bases(n), n
+
     def test_wide_smooth_value(self):
         p, q = 10**9 + 7, 10**6 + 3
         n = p * p * q

@@ -251,6 +251,13 @@ class TestLcmBoundCommand:
         assert exc.value.code == 2
         assert "2**96" in capsys.readouterr().err
 
+    def test_psi_12_is_factored(self, capsys):
+        # psi_12 passes Miller-Rabin to all twelve bases; one row per prime
+        code, out, _ = run_cli(capsys, "lcm-bound", "--d", "318665857834031151167461,2", "--s", "2")
+        assert code == 0
+        primes = [line.split(",")[3] for line in out.strip().splitlines()[1:]]
+        assert primes == ["2", "399165290221", "798330580441"]
+
     def test_equality_case_json(self, capsys):
         code, out, _ = run_cli(
             capsys, "lcm-bound", "--d", "1,6,6,6", "--s", "2", "--format", "json"

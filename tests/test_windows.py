@@ -1,12 +1,15 @@
 """Tests for tau in intervals, pair-lcm window scans, the reverse sieve oracle, and representation recovery."""
 
 import random
+import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tauwindow import windows
 from tauwindow.arith import DivisorRange
 from tauwindow.spectral import l2_norm_sq, l4_norm_4, representation_counts, TrigPolynomial
 from tauwindow.windows import (
@@ -17,6 +20,7 @@ from tauwindow.windows import (
     square_window_scan,
     tau_interval,
     window_multiple_counts,
+    _pair_lcm_marks,
     _range_summary,
 )
 
@@ -48,6 +52,37 @@ def multiples_by_quotient(lo, hi, m_limit):
         for q in range(1, m_limit // d + 1):
             counts[d * q] = counts.get(d * q, 0) + 1
     return dict(sorted(counts.items()))
+
+
+def expand(first, step, count):
+    """first[i] + step[i] * r for r < count[i], for every i in order."""
+    starts = np.repeat(np.cumsum(count) - count, count)
+    offsets = np.arange(starts.size) - starts
+    return np.repeat(first, count) + np.repeat(step, count) * offsets
+
+
+def pair_lcm_marks_by_b(window, m0, m1):
+    """The pair-lcm marks of [m0, m1], sorted, from one numpy pass per b."""
+    dtype = np.int64 if m1 < 1 << 63 else object
+    lo, hi = window.lo, window.hi
+    parts = [np.empty(0, dtype=dtype)]
+    for b in range(-(-hi // (hi - lo)), m1 // lo + 1):
+        a = np.arange(-(-b * lo // hi), b)
+        a = a[np.gcd(a, b) == 1].astype(dtype)
+        ab = a * b
+        g_lo = -(-lo // a)
+        g_count = np.minimum(hi // b, m1 // ab) - g_lo + 1
+        keep = g_count > 0
+        g_lo, g_count = g_lo[keep], g_count[keep].astype(np.int64)
+        lcm = np.repeat(ab[keep], g_count) * expand(g_lo, np.ones_like(g_lo), g_count)
+        j_lo = -(-m0 // lcm)
+        j_count = m1 // lcm - j_lo + 1
+        keep = j_count > 0
+        lcm = lcm[keep]
+        parts.append(expand(lcm * j_lo[keep], lcm, j_count[keep].astype(np.int64)))
+    marks = np.concatenate(parts)
+    marks.sort()
+    return marks
 
 
 def tau_by_cofactor(m, lo, hi):
@@ -232,6 +267,64 @@ class TestScanDifferential:
         assert counts == multiples_by_quotient(lo, lo + width, m_limit)
 
 
+@st.composite
+def _kernel_ranges(draw):
+    """(window, m0, m1) for _pair_lcm_marks: a scan window with its full m-range
+    or a sub-range as the pool makes, or a window with pairs past 2^63."""
+    if draw(st.booleans()):
+        # the scan bands, and squares with k near sqrt(n), which have many pairs
+        dense = st.tuples(st.just("square"), st.integers(30, 300), st.integers(5, 30))
+        kind, n, k = draw(st.one_of(_scan_bands(), dense))
+        k = min(k, n)
+        if kind == "square":
+            window, m_limit = DivisorRange(2 * n, 2 * n + 2 * k), 3 * n * k
+        else:
+            window, m_limit = DivisorRange(3 * n * n, 3 * n * n + 9 * n * k), 7 * n * n * k
+        if draw(st.booleans()):
+            return window, window.lo, m_limit
+        m0 = draw(st.integers(window.lo, max(window.lo, m_limit)))
+        return window, m0, draw(st.integers(m0, max(m0, m_limit)))
+    b, target = draw(st.integers(3, 60)), draw(st.integers(2**62, 2**66))
+    return _pairs_near(b, target, *(draw(st.integers(0, bound)) for bound in (200, 200, 10**4, 10**4)))
+
+
+def _pairs_near(b, target, x, y, below, above):
+    """A window holding g*(b - 1) and g*b, and an m-range around their lcm near target."""
+    g = target // (b * (b - 1))
+    window = DivisorRange(g * (b - 1) - x, g * b + y)
+    return window, g * b * (b - 1) - below, g * b * (b - 1) + above
+
+
+class TestPairLcmKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(_kernel_ranges(), st.sampled_from([1, 2, 7]))
+    @example((DivisorRange(200, 260), 200, 9000), 1)
+    @example((DivisorRange(4800, 6240), 4800, 44800), 7)
+    @example((DivisorRange(4800, 6240), 20000, 30000), 2)
+    @example(_pairs_near(40, 2**63 + 2**40, 7, 9, 5000, 5000), 2)
+    def test_blocks_match_the_per_b_loop(self, case, block):
+        # blocks of 1, 2 and 7 entries put a block edge inside every level
+        window, m0, m1 = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(windows, "_BLOCK", block)
+            marks = _pair_lcm_marks(window, m0, m1)
+        expected = pair_lcm_marks_by_b(window, m0, m1)
+        assert marks.dtype == expected.dtype
+        assert marks.tolist() == expected.tolist()
+
+    def test_memory_is_the_marks_plus_one_block(self):
+        # the window and m-range of square_window_scan(10**5, 3000)
+        window = DivisorRange(2 * 10**5, 2 * 10**5 + 6000)
+        tracemalloc.start()
+        try:
+            marks = _pair_lcm_marks(window, window.lo, 9 * 10**8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert marks.size == 982014
+        assert peak <= marks.nbytes + 2 * 2**20
+
+
 class TestPairFreeWindows:
     """Two divisors d1 < d2 of [2N, 2N+2k] have gcd <= d2 - d1 <= 2k, so
     lcm(d1, d2) >= (2N)^2 / 2k = 2N^2 / k, which exceeds m_limit = 3Nk once
@@ -250,6 +343,13 @@ class TestPairFreeWindows:
         rep = square_window_scan(10**9, 2000)
         assert (rep.max_tau, rep.argmax_m) == (1, 2 * 10**9)
         assert rep.histogram == {1: 11999000} == {1: mark_count(2 * 10**9, 2 * 10**9 + 4000, 6 * 10**12)}
+
+    def test_b_range_starting_past_int64(self):
+        # hi / (hi - lo) = 2**70 + 1, so the kernel's b range is empty
+        n = 2**70
+        rep = square_window_scan(n, 1)
+        assert (rep.max_tau, rep.argmax_m) == (1, 2 * n)
+        assert rep.histogram == {1: mark_count(2 * n, 2 * n + 2, 3 * n)}
 
     def test_histogram_past_int64_stays_exact(self):
         # cube windows are pair-free once n > 7k^2 (lcm >= n^3 / k > 7n^2 k);
