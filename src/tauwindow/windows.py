@@ -20,19 +20,37 @@ workers > 1 a scan splits [window.lo, m_limit] into equal m-ranges, one per
 worker; each returns only its histogram and first argmax, so merging adds
 histograms.  window_multiple_counts keeps the reverse sieve, one mark for
 every multiple of every window element, as the per-m oracle.
+
+ruzsa_scan counts, for every N in [A, B], the divisors d of N in
+[sqrt(N), hi(N)], hi(N) = floor(sqrt(N) + N^(1/2 - eps)).  It has two routes.
+The sieve walks d instead of N: a divisor d has d >= sqrt(N) exactly when
+its cofactor q = N/d has q <= d, so d runs over [ceil(sqrt(A)), max hi(N)],
+q over [ceil(A/d), min(d, B/d)], and N = d*q counts d when d <= hi(N).  The
+counts are indexed by N - A = d*(q - ceil(A/d)) + (-A mod d), which is int64
+whenever B - A is, so ranges past 2^63 need no object route.  The per-N
+route calls tau_interval, which factorizes N.  Both read hi(N) from one
+Python float expression (numpy's power can differ by one ulp), so their
+counts are equal.  ruzsa_route picks by operation count, with no tuned
+constant: the sieve makes one step per d, about sqrt(B) - sqrt(A) +
+B^(1/2-eps) of them, and the per-N route makes pi(min(4096, sqrt(B)))
+trial divisions per N; the sieve runs when its steps are no more.  With a
+tiny eps near 2^96 the d-axis is far longer than the N-axis, and the per-N
+route runs.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_right
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .arith import MAX_VALUE, DivisorRange, InputError, divisors_in_range, _run_bounds, _split_range
+from .arith import MAX_VALUE, DivisorRange, InputError, divisors_in_range, _SMALL_PRIMES, _run_bounds, _split_range
 
 
 @dataclass(frozen=True)
@@ -227,8 +245,10 @@ def _range_summary(args: tuple[DivisorRange, int, int]) -> tuple[np.ndarray, int
     """
     window, m0, m1 = args
     marks = _pair_lcm_marks(window, m0, m1)
-    bounds = _run_bounds(marks)
-    hits = np.diff(bounds)
+    # the hit counts overwrite the run bounds, so no third mark-sized array is made
+    hits = _run_bounds(marks)
+    np.subtract(hits[1:], hits[:-1], out=hits[:-1])
+    hits = hits[:-1]
     tau_counts = {}
     for c, number in enumerate(np.bincount(hits).tolist()):
         if c and number:
@@ -246,7 +266,8 @@ def _range_summary(args: tuple[DivisorRange, int, int]) -> tuple[np.ndarray, int
     hist = np.zeros(max(tau_counts, default=0) + 1, dtype=object)
     hist[list(tau_counts)] = list(tau_counts.values())
     if hits.size:
-        return hist, int(marks[bounds[hits.argmax()]])
+        # the first run of greatest count starts after all the hits before it
+        return hist, int(marks[hits[: hits.argmax()].sum()])
     return hist, window.lo if singles else None
 
 
@@ -308,12 +329,82 @@ def cube_window_scan(n: int, k: int, workers: int = 1) -> WindowScanReport:
     return _assemble_report(n, k, 7 * nn * k, DivisorRange(3 * nn, 3 * nn + 9 * n * k), workers)
 
 
+def ruzsa_route(n_lo: int, n_hi: int, eps: float) -> str:
+    """The route ruzsa_scan takes on [n_lo, n_hi]: "sieve" or "per-N".
+
+    The routes are compared by operation count.  The sieve makes one step per
+    d in [ceil(sqrt(n_lo)), hi(n_hi)], hi(N) = floor(sqrt(N) + N^(1/2 - eps));
+    the per-N route factorizes every N, which starts with trial division by
+    the primes up to min(4096, sqrt(N)), pi(min(4096, sqrt(n_hi))) of them at
+    the top.  The sieve is taken when its steps are no more than those
+    divisions.
+    """
+    # math.isqrt(n - 1) + 1 is ceil(sqrt(n)) for n >= 1
+    d_steps = _ruzsa_tops(n_hi, n_hi, eps)[0] - math.isqrt(n_lo - 1)
+    divisions = (n_hi - n_lo + 1) * bisect_right(_SMALL_PRIMES, math.isqrt(n_hi))
+    return "sieve" if d_steps <= divisions else "per-N"
+
+
+def _ruzsa_tops(n_lo: int, n_hi: int, eps: float) -> list[int]:
+    """hi(N) = floor(sqrt(N) + N^(1/2 - eps)) for every N in [n_lo, n_hi].
+
+    Both routes take hi(N) from this one Python float expression; numpy's
+    power can differ from it by one ulp, which could move hi(N) by one.
+    """
+    return [math.floor(math.sqrt(n) + n ** (0.5 - eps)) for n in range(n_lo, n_hi + 1)]
+
+
+def _ruzsa_per_n(n_lo: int, tops: list[int]) -> list[int]:
+    """tau(N; [ceil(sqrt(N)), tops[N - n_lo]]) for each N, by one tau_interval call each."""
+    counts = []
+    for n, hi in enumerate(tops, n_lo):
+        lo = math.isqrt(n - 1) + 1
+        counts.append(tau_interval(n, DivisorRange(lo, hi)) if lo <= hi else 0)
+    return counts
+
+
+def _ruzsa_sieve(n_lo: int, tops: list[int]) -> list[int]:
+    """The counts of _ruzsa_per_n, from the products N = d*q of each d instead.
+
+    d is a divisor of N with d >= ceil(sqrt(N)) exactly when its cofactor q
+    has q <= d, so d runs over [ceil(sqrt(n_lo)), max(tops)] and q over
+    [ceil(n_lo/d), min(d, n_hi // d)], and N counts d when d <= tops[N - n_lo].
+    N - n_lo = d*(q - q_lo) + (-n_lo mod d) is at most n_hi - n_lo, so the
+    index is int64 however large n_lo is; only the quotients of the
+    endpoints past 2^63 are taken in Python ints.  Each block of _BLOCK
+    values of d gives one progression of indices per d, expanded in blocks
+    of _BLOCK entries.
+    """
+    n_hi = n_lo + len(tops) - 1
+    top = np.array(tops, dtype=np.int64)
+    dtype = np.int64 if n_hi < 1 << 63 else object
+    d_lo, d_hi = math.isqrt(n_lo - 1) + 1, int(top.max())
+    hits = [np.empty(0, dtype=np.int64)]
+    for start in range(d_lo, d_hi + 1, _BLOCK):
+        d = np.arange(start, min(start + _BLOCK, d_hi + 1), dtype=np.int64)
+        dx = d.astype(dtype, copy=False)
+        # the index of d*q_lo, the least multiple of d from n_lo
+        offset = ((-n_lo) % dx).astype(np.int64, copy=False)
+        q_lo = (n_lo // dx).astype(np.int64, copy=False) + (offset > 0)
+        q_count = np.minimum(d, (n_hi // dx).astype(np.int64, copy=False)) - q_lo + 1
+        keep = q_count > 0
+        d, offset, q_count = d[keep], offset[keep], q_count[keep]
+        for rows, sizes, index in _blocks(offset, d, q_count):
+            hits.append(index[top[index] >= np.repeat(d[rows], sizes)])
+    return np.bincount(np.concatenate(hits), minlength=len(tops)).tolist()
+
+
 def ruzsa_scan(n_lo: int, n_hi: int, eps: float) -> list[RuzsaEntry]:
     """Count divisors of each N in [sqrt(N), sqrt(N) + N^(1/2 - eps)].
 
     Emits one entry per N with a running maximum.  The interval's lower end is
-    the exact ceiling of sqrt(N); the width N^(1/2-eps) is evaluated in
-    floating point, which is fine for an empirical probe.
+    the exact ceiling of sqrt(N); its upper end hi(N) = floor(sqrt(N) +
+    N^(1/2-eps)) is one Python float expression per N, which is fine for an
+    empirical probe.  ruzsa_route chooses the route by operation count:
+    _ruzsa_sieve walks d in [ceil(sqrt(n_lo)), max hi(N)] and the cofactors
+    q <= d, indexing each product by N - n_lo in int64 however large N is;
+    _ruzsa_per_n factorizes each N through tau_interval.  Both read the same
+    hi(N), so their counts are equal.
     """
     if not 0 < eps < 0.5:
         raise InputError(f"eps must lie in (0, 1/2), got {eps}")
@@ -321,16 +412,9 @@ def ruzsa_scan(n_lo: int, n_hi: int, eps: float) -> list[RuzsaEntry]:
         raise InputError("ruzsa_scan expects 1 <= n_lo <= n_hi")
     if n_hi >= MAX_VALUE:
         raise InputError(f"ruzsa_scan supports integers below 2**96, got n_hi={n_hi}")
-    out: list[RuzsaEntry] = []
-    running = 0
-    for n in range(n_lo, n_hi + 1):
-        s = math.isqrt(n)
-        lo = s if s * s == n else s + 1
-        hi = math.floor(math.sqrt(n) + n ** (0.5 - eps))
-        count = tau_interval(n, DivisorRange(lo, hi)) if lo <= hi else 0
-        running = max(running, count)
-        out.append(RuzsaEntry(n=n, count=count, running_max=running))
-    return out
+    route = _ruzsa_sieve if ruzsa_route(n_lo, n_hi, eps) == "sieve" else _ruzsa_per_n
+    counts = route(n_lo, _ruzsa_tops(n_lo, n_hi, eps))
+    return list(map(RuzsaEntry, range(n_lo, n_hi + 1), counts, accumulate(counts, max)))
 
 
 def square_representations(m: int, n: int, k: int) -> list[tuple[int, int]]:

@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import hashlib
 import json
 import os
 import resource
@@ -197,11 +198,33 @@ class TestRuzsaCommand:
         def no_divisor_counts(*args):
             raise AssertionError("ruzsa counted divisors before refusing its range")
 
-        monkeypatch.setattr(windows, "tau_interval", no_divisor_counts)
+        for name in ("tau_interval", "_ruzsa_tops", "_ruzsa_sieve", "_ruzsa_per_n"):
+            monkeypatch.setattr(windows, name, no_divisor_counts)
         with pytest.raises(SystemExit) as exc:
             main(["ruzsa", "--from", "2", "--to", str(2**96), "--eps", "0.25"])
         assert exc.value.code == 2
         assert "2**96" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "n_lo, n_hi, eps, sha256",
+        [
+            # the README example
+            (2, 10000, "0.25", "e4ac3ebdcb52a62927d384a229bc61ea0c2d5844507effb1e1178ba871df2c58"),
+            # 10^12 + random.Random(8).randrange(10**6), then 2^63 - randrange(3000) from the same generator
+            (1000000237718, 1000000240718, "0.25", "d0986dd4bc51e5b9fb72562049a733f807ccdeb4af0d0ecc210bb64338f8e182"),
+            (9223372036854774291, 9223372036854777291, "0.2", "84616a386a8ee450a34374f41b7ed096b6ade5417fd372903cb328c6d0305172"),
+        ],
+    )
+    def test_report_bytes_are_pinned(self, capsys, n_lo, n_hi, eps, sha256):
+        # the digests of reports made by factorizing every N
+        code, out, err = run_cli(capsys, "ruzsa", "--from", str(n_lo), "--to", str(n_hi), "--eps", eps)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+        assert err.rstrip().endswith("route=sieve")
+
+    def test_route_named_in_diagnostics(self, capsys):
+        _, _, err = run_cli(capsys, "ruzsa", "--from", str(2**90), "--to", str(2**90 + 2), "--eps", "0.01")
+        assert err.rstrip().endswith("route=per-N")
 
 
 class TestLcmBoundCommand:

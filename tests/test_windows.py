@@ -1,6 +1,8 @@
-"""Tests for tau in intervals, pair-lcm window scans, the reverse sieve oracle, and representation recovery."""
+"""Tests for tau in intervals, pair-lcm window scans, the reverse sieve oracle, the Ruzsa probe's two routes, and representation recovery."""
 
+import math
 import random
+import time
 import tracemalloc
 from collections import Counter
 
@@ -15,6 +17,7 @@ from tauwindow.spectral import l2_norm_sq, l4_norm_4, representation_counts, Tri
 from tauwindow.windows import (
     RuzsaEntry,
     cube_window_scan,
+    ruzsa_route,
     ruzsa_scan,
     square_representations,
     square_window_scan,
@@ -22,6 +25,7 @@ from tauwindow.windows import (
     window_multiple_counts,
     _pair_lcm_marks,
     _range_summary,
+    _ruzsa_sieve,
 )
 
 
@@ -414,6 +418,80 @@ class TestRuzsaScan:
             ruzsa_scan(10, 5, 0.2)
         with pytest.raises(ValueError):
             ruzsa_scan(1, 10, 0.7)
+
+
+def ruzsa_counts_by_n(n_lo, n_hi, eps):
+    """hi(N) as ruzsa_scan evaluates it, and tau(N; [ceil(sqrt(N)), hi(N)]) by tau_interval, for each N."""
+    tops = [math.floor(math.sqrt(n) + n ** (0.5 - eps)) for n in range(n_lo, n_hi + 1)]
+    counts = []
+    for n, hi in zip(range(n_lo, n_hi + 1), tops):
+        lo = math.isqrt(n - 1) + 1
+        counts.append(tau_interval(n, (lo, hi)) if lo <= hi else 0)
+    return tops, counts
+
+
+@st.composite
+def _ruzsa_ranges(draw):
+    """(n_lo, n_hi, eps): N from 1, or a short range that starts at, ends at or
+    holds a base 10^12, 2^63 or 2^90, a perfect square s*s or a product
+    s*(s + j) near it; eps keeps the sieve's d-axis to about 10^4 steps and
+    the ranges keep the per-N oracle to a fraction of a second."""
+    region = draw(st.sampled_from(["small", "1e12", "2^63", "2^90"]))
+    if region == "small":
+        n_lo = draw(st.integers(1, 50))
+        return n_lo, n_lo + draw(st.integers(0, 300)), draw(st.floats(0.01, 0.49))
+    base, width, eps_min = {"1e12": (10**12, 300, 0.15), "2^63": (2**63, 100, 0.3), "2^90": (2**90, 6, 0.38)}[region]
+    s = math.isqrt(base) + draw(st.integers(-1000, 1000))
+    anchor = draw(st.sampled_from([base, s * s, s * (s + draw(st.integers(1, 3)))]))
+    size = draw(st.integers(0, width))
+    n_lo = anchor - draw(st.sampled_from([0, size, size // 2]))
+    return n_lo, n_lo + size, draw(st.floats(eps_min, 0.49))
+
+
+class TestRuzsaSieve:
+    @settings(max_examples=80, deadline=None)
+    @given(_ruzsa_ranges(), st.sampled_from([1, 7, windows._BLOCK]))
+    @example((1, 1, 0.25), 1)
+    @example((1, 400, 0.01), 7)
+    @example((10**12, 10**12 + 300, 0.25), 1)
+    @example((2**63 - 50, 2**63 + 50, 0.3), 7)
+    @example((math.isqrt(2**90) ** 2, math.isqrt(2**90) ** 2 + 6, 0.45), 1)
+    def test_sieve_matches_tau_interval(self, case, block):
+        # blocks of 1 and 7 put a block edge inside both the d and the cofactor level
+        n_lo, n_hi, eps = case
+        tops, counts = ruzsa_counts_by_n(n_lo, n_hi, eps)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(windows, "_BLOCK", block)
+            assert _ruzsa_sieve(n_lo, tops) == counts
+        assert [e.count for e in ruzsa_scan(n_lo, n_hi, eps)] == counts
+
+    @staticmethod
+    def routes_taken(monkeypatch):
+        taken = []
+        for name in ("_ruzsa_sieve", "_ruzsa_per_n"):
+            def spy(*args, real=getattr(windows, name), name=name):
+                taken.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(windows, name, spy)
+        return taken
+
+    def test_readme_and_benchmark_ranges_take_the_sieve(self, monkeypatch):
+        taken = self.routes_taken(monkeypatch)
+        ruzsa_scan(2, 10**4, 0.25)
+        ruzsa_scan(10**12, 10**12 + 5000, 0.25)
+        assert taken == ["_ruzsa_sieve", "_ruzsa_sieve"]
+        assert ruzsa_route(2, 10**4, 0.25) == ruzsa_route(10**12, 10**12 + 5000, 0.25) == "sieve"
+
+    def test_tiny_eps_near_2_90_takes_the_per_n_route(self, monkeypatch):
+        # the d-axis is about 2^44 steps long, the per-N route 11 * 564 divisions
+        taken = self.routes_taken(monkeypatch)
+        start = time.perf_counter()
+        entries = ruzsa_scan(2**90, 2**90 + 10, 0.01)
+        assert time.perf_counter() - start < 30
+        assert taken == ["_ruzsa_per_n"]
+        assert ruzsa_route(2**90, 2**90 + 10, 0.01) == "per-N"
+        assert [e.count for e in entries] == [1, 16, 0, 1, 1, 0, 3, 0, 0, 0, 0]
 
 
 class TestSquareRepresentations:
