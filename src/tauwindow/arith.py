@@ -320,6 +320,11 @@ def divisors_in_range(n: int, rng: DivisorRange | tuple[int, int]) -> list[int]:
     return out
 
 
+# entries per numpy block of the blocked kernels (the pair-lcm scan, the Ruzsa
+# sieve, the Sidon-window table): their working memory beside their output
+_BLOCK = 1 << 13
+
+
 def _split_range(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:
     """[lo, hi] as at most one nonempty closed range per worker, of near-equal width."""
     if workers < 1:

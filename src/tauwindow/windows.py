@@ -50,7 +50,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .arith import MAX_VALUE, DivisorRange, InputError, divisors_in_range, _SMALL_PRIMES, _run_bounds, _split_range
+from .arith import MAX_VALUE, DivisorRange, InputError, divisors_in_range, _BLOCK, _SMALL_PRIMES, _run_bounds, _split_range
 
 
 @dataclass(frozen=True)
@@ -108,10 +108,6 @@ def _range_counts(window: DivisorRange, m0: int, m1: int) -> tuple[np.ndarray, n
     # rebinding frees the full mark array before the counts are taken
     marks = marks[bounds[:-1]]
     return marks, np.diff(bounds)
-
-
-# entries per numpy block of the pair-lcm kernel: its working memory beside the marks
-_BLOCK = 1 << 13
 
 
 def _progressions(first: np.ndarray, step: np.ndarray, count: np.ndarray) -> np.ndarray:

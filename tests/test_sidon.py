@@ -2,18 +2,28 @@
 
 import math
 import random
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tauwindow import sidon
 from tauwindow.sidon import (
+    _check_span,
+    _translated_rows,
+    _width_run_end,
+    _window_width,
     cubes_window,
     is_sidon,
     squares_window,
     verify_window_range,
 )
 from tauwindow.spectral import additive_energy, trivial_energy
+
+POWER = {"square": 2, "cube": 3}
 
 
 def quadruple_sidon_oracle(a):
@@ -168,3 +178,142 @@ class TestShiftedSquareSumSolutions:
                     assert s1 + s2 == first_sum
                 # trivial: a colliding unordered pair is the same pair
                 assert len(pairs) == 1
+
+
+def window_for(kind, n):
+    return squares_window(n) if kind == "square" else cubes_window(n)
+
+
+def failures_by_n(kind, lo, hi):
+    """The per-N reference: is_sidon on the window of every N."""
+    return [n for n in range(lo, hi + 1) if not is_sidon(window_for(kind, n)).is_sidon]
+
+
+def first_of_width(kind, w):
+    """Least N whose window has width at least w; the width changes there."""
+    return -(-(w * w) // 8) if kind == "square" else 2 * w**3
+
+
+@st.composite
+def _boundary_ranges(draw):
+    # ranges that start at, end at, end just before or cross a width change
+    kind = draw(st.sampled_from(["square", "cube"]))
+    edge = first_of_width(kind, draw(st.integers(1, 120 if kind == "square" else 40)))
+    size = draw(st.integers(0, 40))
+    lo = max(1, edge - draw(st.sampled_from([0, size, size // 2, size + 1])))
+    return kind, lo, lo + size
+
+
+def widened(mp, extra):
+    """Widen every window by extra elements, through the one width helper."""
+    mp.setattr(sidon, "_window_width", lambda kind, n, real=_window_width: real(kind, n) + extra)
+
+
+class TestBatchedKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(_boundary_ranges(), st.sampled_from([1, 7, sidon._BLOCK]), st.sampled_from([0, 3, 20]))
+    @example(("square", 1, 300), 7, 3)
+    @example(("cube", 1, 60), 1, 20)
+    @example(("cube", 2 * 3**3 - 5, 2 * 3**3 + 5), 7, 0)
+    def test_matches_is_sidon_per_n(self, case, block, extra):
+        # widened windows are not Sidon, so the failure path is compared too;
+        # blocks of 1 and 7 entries put a block edge inside every run
+        with pytest.MonkeyPatch.context() as mp:
+            widened(mp, extra)
+            expected = failures_by_n(*case)
+            mp.setattr(sidon, "_BLOCK", block)
+            assert _check_span(case) == expected
+
+    @settings(max_examples=20, deadline=None)
+    @given(_boundary_ranges(), st.sampled_from([1, 2, 3]))
+    def test_pooled_range_matches_is_sidon_per_n(self, case, workers):
+        kind, lo, hi = case
+        report = verify_window_range(kind, lo, hi, workers=workers)
+        assert report.failures == tuple(failures_by_n(*case))
+        assert report.checked == hi - lo + 1
+
+    @pytest.mark.parametrize("kind, hi, extra, count", [("square", 300, 3, 114), ("cube", 60, 20, 8)])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_widened_windows_fail_alike(self, monkeypatch, kind, hi, extra, count, workers):
+        # threads stand in for the process pool, so the parts see the widened helper
+        widened(monkeypatch, extra)
+        monkeypatch.setattr(sidon, "ProcessPoolExecutor", ThreadPoolExecutor)
+        expected = failures_by_n(kind, 1, hi)
+        assert len(expected) == count
+        assert verify_window_range(kind, 1, hi, workers=workers).failures == tuple(expected)
+
+    def test_cubes_at_2_27_take_the_object_table(self):
+        lo, hi = 2**27, 2**27 + 2
+        w = _window_width("cube", lo)
+        assert _translated_rows("cube", lo, hi, w).dtype == object
+        assert _check_span(("cube", lo, hi)) == failures_by_n("cube", lo, hi) == []
+
+    def test_memory_is_a_few_blocks(self):
+        # the diff table, its sorted copy and the pair indices are each at most
+        # one block of 8-byte entries; no table of a whole run is ever built
+        block_bytes = 8 * sidon._BLOCK
+        tracemalloc.start()
+        try:
+            report = verify_window_range("square", 1, 2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.failures == ()
+        assert peak <= 16 * block_bytes
+
+
+class TestWidthRuns:
+    @pytest.mark.parametrize("kind, limit", [("square", 3000), ("cube", 2 * 12**3 + 5)])
+    def test_runs_match_window_lengths(self, kind, limit):
+        n = 1
+        while n <= limit:
+            end = _width_run_end(kind, n)
+            assert end >= n
+            w = _window_width(kind, n)
+            assert {len(window_for(kind, m)) - 1 for m in range(n, end + 1)} == {w}
+            assert len(window_for(kind, end + 1)) - 1 > w
+            n = end + 1
+
+    @pytest.mark.parametrize("kind", ["square", "cube"])
+    @pytest.mark.parametrize("w", [2, 3, 126, 10**6, 2**40 + 1])
+    def test_run_ends_at_large_widths(self, kind, w):
+        start = first_of_width(kind, w)
+        end = _width_run_end(kind, start)
+        assert _window_width(kind, start) == _window_width(kind, end) >= w
+        assert _window_width(kind, end + 1) > _window_width(kind, end)
+        assert _window_width(kind, start - 1) < _window_width(kind, start)
+
+
+def first_cube_past_int64():
+    """Least N whose one-row cube table has its largest entry at or above 2^63."""
+    lo, hi = 1, 1 << 64
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (mid + _window_width("cube", mid)) ** 3 - mid**3 >= 1 << 63:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+class TestTranslatedRows:
+    @pytest.mark.parametrize("offset", [-2, -1, 0, 1])
+    def test_rows_plus_first_element_are_windows(self, offset):
+        # cube blocks ending just below, at and above the switch from int64 to
+        # Python ints (squares reach it only at widths of millions)
+        last = first_cube_past_int64() + offset
+        first = last - 2
+        assert _width_run_end("cube", first) >= last
+        rows = _translated_rows("cube", first, last, _window_width("cube", first))
+        assert rows.dtype == (object if offset >= 0 else np.int64)
+        for n, row in zip(range(first, last + 1), rows):
+            assert tuple(int(x) + n**3 for x in row) == cubes_window(n)
+
+    @pytest.mark.parametrize("kind", ["square", "cube"])
+    @pytest.mark.parametrize("first", [1, 2, 17, 2000, 2**21, 2**27])
+    def test_rows_at_small_and_large_n(self, kind, first):
+        last = min(first + 4, _width_run_end(kind, first))
+        w = _window_width(kind, first)
+        rows = _translated_rows(kind, first, last, w)
+        for n, row in zip(range(first, last + 1), rows):
+            assert tuple(int(x) + n ** POWER[kind] for x in row) == window_for(kind, n)
