@@ -2,10 +2,14 @@
 trigonometric polynomials f(x) = sum a_n e(n x) with e(x) = exp(2*pi*i*x).
 
 r(m), the energy, max_{m>0} r(m), the autocorrelation c_m and the L4 norm all
-come from one table of distinct positive differences with their pair counts or
-coefficient sums.  Differences do not change under translation, so the table is
-built in int64 on the support minus its minimum; the same numpy code runs on
-exact Python ints (object arrays) only when the spread max - min reaches 2^63.
+come from one kernel that yields the distinct positive differences with their
+pair counts or coefficient sums, in disjoint increasing difference ranges of
+at most B = _PAIR_BLOCK pairs each (or |A| - 1, the most one difference holds).
+The energy, the L4 norm and max r(m) fold each block into a number, so their
+working memory is O(B + |A|) however large A is; r(m) and c_m add their dict.
+Differences do not change under translation, so the blocks are built in int64
+on the support minus its minimum; the same numpy code runs on exact Python
+ints (object arrays) only when the spread max - min reaches 2^63.
 
 Counting is exact integer work; norms are floating point.  The L4 norm has two
 independent routes: the autocorrelation identity ||f||_4^4 = sum |c_m|^2 and an
@@ -16,15 +20,18 @@ makes each one an oracle for the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .arith import InputError, _run_bounds
+from .arith import InputError, _BLOCK, _run_bounds
 
 _QUADRATURE_POINT_LIMIT = 1 << 26
 
 RUDIN_REL_TOL = 1e-9
+
+# pairs per block of the difference kernel: its working memory beside O(|A|)
+_PAIR_BLOCK = 8 * _BLOCK
 
 
 def frequency_set(values: Iterable[int]) -> tuple[int, ...]:
@@ -79,41 +86,67 @@ class RudinCertificate:
     holds: bool
 
 
-def _positive_differences(a: tuple[int, ...], weights=None) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Distinct positive differences y - x (x < y in the sorted set a), increasing.
+def _difference_blocks(a: tuple[int, ...], weights=None) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
+    """Distinct positive differences y - x (x < y in the sorted set a), increasing,
+    in blocks of at most max(_PAIR_BLOCK, len(a) - 1) pairs.
 
-    Returns (diffs, counts, sums): counts[k] counts the pairs with
-    y - x == diffs[k]; with weights aligned to a, sums[k] adds w_y * conj(w_x)
-    over those pairs, and without weights sums is None.
+    Yields (diffs, counts, sums) for disjoint, increasing difference ranges
+    (d0, d1]: counts[k] counts the pairs with y - x == diffs[k]; with weights
+    aligned to a, sums[k] adds w_y * conj(w_x) over those pairs, and without
+    weights sums is None.  Concatenating the blocks gives the whole table.
     """
+    n = len(a)
+    spread = a[-1] - a[0]
     # exact Python ints only when the translated values overflow int64
-    dtype = np.int64 if a[-1] - a[0] < 1 << 63 else object
-    arr = np.array([x - a[0] for x in a], dtype=dtype)
-    # row y, column x: a is strictly increasing, so x < y below the diagonal
-    lower = arr[:, None] > arr
-    diffs = (arr[:, None] - arr)[lower]
-    if weights is None:
-        diffs.sort()
-    else:
+    arr = np.array([x - a[0] for x in a], dtype=np.int64 if spread < 1 << 63 else object)
+    if weights is not None:
         w = np.asarray(weights, dtype=np.complex128)
-        prods = (w[:, None] * w.conj())[lower]
-        order = diffs.argsort()
-        diffs, prods = diffs[order], prods[order]
-    bounds = _run_bounds(diffs)
-    starts = bounds[:-1]
-    # rebinding frees the full difference array before the sums and counts
-    diffs = diffs[starts]
-    sums = None if weights is None else np.add.reduceat(prods, starts)
-    return diffs, np.diff(bounds), sums
+        w_conj = w.conj()
+    # for row y, the columns x with d0 < y - x <= d1 are [lo[y], hi[y]); with
+    # d0 = 0 the upper ends are the diagonal
+    hi = np.arange(n)
+    d0 = 0
+    # the first upper edge assumes the pairs spread evenly over (0, spread]
+    width = max(1, spread * _PAIR_BLOCK // max(1, n * (n - 1) // 2))
+    while d0 < spread:
+        d1 = min(d0 + width, spread)
+        lo = np.searchsorted(arr, arr - d1)
+        per_row = hi - lo
+        pairs = int(per_row.sum())
+        if pairs > _PAIR_BLOCK and d1 > d0 + 1:
+            # too dense: shrink the edge in proportion and probe again
+            width = max(1, (d1 - d0) * _PAIR_BLOCK // pairs)
+            continue
+        if not pairs:
+            # an empty range: skip to just below the least difference above d1
+            # (rows with lo = 0 have no difference above d1)
+            left = lo > 0
+            d0, hi = int((arr[left] - arr[lo[left] - 1]).min()) - 1, lo
+            continue
+        # next edge from this block's pair density
+        width = max(1, (d1 - d0) * _PAIR_BLOCK // pairs)
+        # row y's columns lo[y] .. hi[y] - 1, laid out row after row
+        cols = np.arange(pairs) + np.repeat(lo - (np.cumsum(per_row) - per_row), per_row)
+        diffs = np.repeat(arr, per_row) - arr[cols]
+        if weights is None:
+            diffs.sort()
+        else:
+            prods = np.repeat(w, per_row) * w_conj[cols]
+            order = diffs.argsort(kind="stable")
+            diffs, prods = diffs[order], prods[order]
+        bounds = _run_bounds(diffs)
+        starts = bounds[:-1]
+        yield diffs[starts], np.diff(bounds), None if weights is None else np.add.reduceat(prods, starts)
+        d0, hi = d1, lo
 
 
 def representation_counts(freqs: Iterable[int]) -> dict[int, int]:
     """r(m) = number of ordered pairs (n1, n2) with n1 - n2 = m, all m."""
     a = frequency_set(freqs)
-    diffs, counts, _ = _positive_differences(a)
     r = {0: len(a)}
-    for m, c in zip(diffs.tolist(), counts.tolist()):
-        r[m] = r[-m] = c
+    for diffs, counts, _ in _difference_blocks(a):
+        for m, c in zip(diffs.tolist(), counts.tolist()):
+            r[m] = r[-m] = c
     return r
 
 
@@ -124,8 +157,7 @@ def additive_energy(freqs: Iterable[int]) -> int:
     exactly on Sidon sets.
     """
     a = frequency_set(freqs)
-    _, counts, _ = _positive_differences(a)
-    return len(a) ** 2 + 2 * int(np.dot(counts, counts))
+    return len(a) ** 2 + 2 * sum(int(np.dot(counts, counts)) for _, counts, _ in _difference_blocks(a))
 
 
 def trivial_energy(size: int) -> int:
@@ -138,11 +170,11 @@ def autocorrelation(f: TrigPolynomial) -> Autocorrelation:
     if not f.terms:
         raise InputError("autocorrelation of the empty polynomial")
     support = f.support()
-    diffs, _, sums = _positive_differences(support, [f.terms[n] for n in support])
     coeffs: dict[int, complex] = {0: complex(l2_norm_sq(f))}
-    for m, c in zip(diffs.tolist(), sums.tolist()):
-        coeffs[m] = c
-        coeffs[-m] = c.conjugate()
+    for diffs, _, sums in _difference_blocks(support, [f.terms[n] for n in support]):
+        for m, c in zip(diffs.tolist(), sums.tolist()):
+            coeffs[m] = c
+            coeffs[-m] = c.conjugate()
     return Autocorrelation(coeffs)
 
 
@@ -152,11 +184,13 @@ def l2_norm_sq(f: TrigPolynomial) -> float:
 
 
 def _fourth_moment(f: TrigPolynomial) -> tuple[float, int]:
-    """||f||_4^4 = sum_m |c_m|^2 and max_{m>0} r(m) on supp(f), from one table."""
+    """||f||_4^4 = sum_m |c_m|^2 and max_{m>0} r(m) on supp(f), from one pass of the kernel."""
     support = f.support()
-    _, counts, sums = _positive_differences(support, [f.terms[n] for n in support])
-    l4 = l2_norm_sq(f) ** 2 + 2 * float(np.sum(sums.real**2 + sums.imag**2))
-    return l4, int(counts.max(initial=0))
+    off_diagonal, max_r = 0.0, 0
+    for _, counts, sums in _difference_blocks(support, [f.terms[n] for n in support]):
+        off_diagonal += float(np.sum(sums.real**2 + sums.imag**2))
+        max_r = max(max_r, int(counts.max()))
+    return l2_norm_sq(f) ** 2 + 2 * off_diagonal, max_r
 
 
 def l4_norm_4(f: TrigPolynomial) -> float:
@@ -199,16 +233,20 @@ def l4_quadrature_oracle(f: TrigPolynomial) -> float:
     buf = np.zeros(q, dtype=np.complex128)
     for n in support:
         buf[(n - base) % q] += f.terms[n]
-    samples = np.fft.ifft(buf)
+    # the samples overwrite buf, and |f|^2 then |f|^4 are taken in place: the
+    # same float operations as re^2 + im^2 and mag2 * mag2, without three
+    # more Q-length temporaries
+    samples = np.fft.ifft(buf, out=buf)
     samples *= q
-    mag2 = samples.real**2 + samples.imag**2
-    return float(np.mean(mag2 * mag2))
+    mag2 = np.multiply(samples.real, samples.real)
+    mag2 += np.multiply(samples.imag, samples.imag, out=samples.imag)
+    del buf, samples
+    return float(np.mean(np.multiply(mag2, mag2, out=mag2)))
 
 
 def max_positive_representation(freqs: Iterable[int]) -> int:
     """max over m > 0 of r(m); zero for a singleton set."""
-    _, counts, _ = _positive_differences(frequency_set(freqs))
-    return int(counts.max(initial=0))
+    return max((int(counts.max()) for _, counts, _ in _difference_blocks(frequency_set(freqs))), default=0)
 
 
 def rudin_certificate(f: TrigPolynomial) -> RudinCertificate:

@@ -21,6 +21,24 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_in_address_space(argv, limit):
+    """Run the CLI in a fresh interpreter whose address space is capped at limit bytes."""
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(tauwindow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "tauwindow", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=limit_address_space,
+        timeout=120,
+    )
+
+
 class TestScanCommands:
     def test_scan_squares_example(self, capsys):
         code, out, err = run_cli(capsys, "scan-squares", "--n", "10", "--k", "3")
@@ -87,19 +105,7 @@ class TestScanCommands:
         # the window [2.7e19, 2.7e19 + 2.7e10] holds no two divisors of any
         # m <= 6.3e19, so the scan is a quotient-block sum; one mark per
         # multiple would need hundreds of GiB
-        def limit_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
-
-        src = str(Path(tauwindow.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "tauwindow", "scan-cubes", "--n", "3000000000", "--k", "1"],
-            capture_output=True,
-            text=True,
-            env=env,
-            preexec_fn=limit_address_space,
-            timeout=120,
-        )
+        proc = run_in_address_space(["scan-cubes", "--n", "3000000000", "--k", "1"], 4 << 30)
         assert proc.returncode == 0, proc.stderr
         header, *rows = proc.stdout.strip().splitlines()
         assert [dict(zip(header.split(","), row.split(",")))["max_tau"] for row in rows] == ["1"]
@@ -164,6 +170,16 @@ class TestEnergyCommand:
         assert lines[0] == "n,size,energy,trivial_energy,energy_over_n2_logn"
         first = lines[1].split(",")
         assert first[0] == "16" and int(first[2]) >= int(first[3])
+
+    def test_prefix_probe_of_15000_squares_in_1_gib(self):
+        # 1.1e8 pairs: the whole difference table needed about 2.9 GB and ended
+        # in a MemoryError; the energy is sum_s R(s)^2 over sums of two squares
+        proc = run_in_address_space(["energy", "--n", "15000"], 1 << 30)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "n,size,energy,trivial_energy,energy_over_n2_logn",
+            "15000,15000,1389987860,449985000,0.6424551572946371",
+        ]
 
     def test_window_mode(self, capsys):
         code, out, _ = run_cli(capsys, "energy", "--n", "100", "--k", "28", "--format", "json")

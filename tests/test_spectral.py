@@ -1,13 +1,24 @@
 """Tests for representation counts, additive energy, and L2/L4 norms."""
 
 import cmath
+import os
 import random
+import resource
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tauwindow
+from tauwindow import spectral
+from tauwindow.arith import _run_bounds
 from tauwindow.spectral import (
+    _difference_blocks,
     TrigPolynomial,
     additive_energy,
     autocorrelation,
@@ -39,6 +50,31 @@ def autocorrelation_oracle(terms):
         for n2, a2 in terms.items():
             coeffs[n1 - n2] = coeffs.get(n1 - n2, 0) + a1 * a2.conjugate()
     return coeffs
+
+
+def whole_table_differences(a, weights=None):
+    """The blocked kernel's output from the whole |A| x |A| difference table at once.
+
+    Returns (diffs, counts, sums) for the distinct positive differences of the
+    sorted set a, as one block: about 13 |A|^2 bytes unweighted and 29 |A|^2
+    bytes weighted.
+    """
+    dtype = np.int64 if a[-1] - a[0] < 1 << 63 else object
+    arr = np.array([x - a[0] for x in a], dtype=dtype)
+    # row y, column x: a is strictly increasing, so x < y below the diagonal
+    lower = arr[:, None] > arr
+    diffs = (arr[:, None] - arr)[lower]
+    if weights is None:
+        diffs.sort()
+    else:
+        w = np.asarray(weights, dtype=np.complex128)
+        prods = (w[:, None] * w.conj())[lower]
+        order = diffs.argsort()
+        diffs, prods = diffs[order], prods[order]
+    bounds = _run_bounds(diffs)
+    starts = bounds[:-1]
+    sums = None if weights is None else np.add.reduceat(prods, starts)
+    return diffs[starts], np.diff(bounds), sums
 
 
 def quadruple_energy_oracle(a):
@@ -302,3 +338,127 @@ class TestAboveFormerCutoffs:
         energy = additive_energy(a)
         assert energy == round(l4_quadrature_oracle(f))
         assert l4_norm_4(f) == pytest.approx(energy, rel=1e-9)
+
+
+# An arithmetic progression puts |A| - k pairs on the difference k * step, more
+# than a block of 1 or 7 pairs holds; steps of 2^62 and more reach spreads
+# past 2^63.
+progressions = st.builds(
+    lambda start, step, size: [start + step * i for i in range(size)],
+    st.integers(-(10**6), 2**64),
+    st.sampled_from([1, 3, 1000, 2**40, 2**62, 2**63 + 1]),
+    st.integers(1, 40),
+)
+block_sets = st.one_of(
+    kernel_sets,
+    progressions,
+    st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=2, unique=True),
+)
+
+
+def _concatenated(blocks):
+    diffs, counts, sums = [], [], []
+    for d, c, s in blocks:
+        diffs += d.tolist()
+        counts += c.tolist()
+        sums += [] if s is None else s.tolist()
+    return diffs, counts, sums
+
+
+class TestDifferenceBlocks:
+    @settings(max_examples=200, deadline=None)
+    @given(block_sets, st.sampled_from([1, 7, spectral._PAIR_BLOCK]), st.integers(0, 2**32))
+    @example([7], 1, 0)
+    @example([0, 2**63], 7, 0)
+    @example(list(range(30)), 7, 0)
+    @example([3 * 2**62 * i for i in range(20)], 1, 0)
+    def test_blocks_match_the_whole_table(self, a, block, seed):
+        a = tuple(sorted(a))
+        rng = random.Random(seed)
+        w = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in a]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "_PAIR_BLOCK", block)
+            weighted = list(_difference_blocks(a, w))
+            unweighted = list(_difference_blocks(a))
+            energy = additive_energy(a)
+            max_r = max_positive_representation(a)
+        # disjoint increasing ranges of at most max(block, |A| - 1) pairs each
+        for _, counts, _ in weighted + unweighted:
+            assert 0 < counts.sum() <= max(block, len(a) - 1)
+        expected = whole_table_differences(a, w)
+        diffs, counts, sums = _concatenated(weighted)
+        assert (diffs, counts) == (expected[0].tolist(), expected[1].tolist())
+        assert _concatenated(unweighted) == (diffs, counts, [])
+        assert energy == len(a) ** 2 + 2 * sum(c * c for c in counts)
+        assert max_r == max(counts, default=0)
+        # the order of the sum within one difference may change: compare
+        # against the sum of |w_y| |w_x| over its pairs
+        scale = whole_table_differences(a, np.abs(w))[2]
+        scale = [] if scale is None else scale.real.tolist()
+        for got, want, bound in zip(sums, expected[2].tolist(), scale):
+            assert abs(got - want) <= 1e-12 * bound
+
+
+class TestKernelMemory:
+    @staticmethod
+    def traced_peak(fn, arg):
+        tracemalloc.start()
+        try:
+            result = fn(arg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
+    def test_energy_of_4096_squares(self):
+        # the whole difference table peaked at 208 MiB
+        energy, peak = self.traced_peak(additive_energy, [i * i for i in range(1, 4097)])
+        assert energy == 91408384
+        assert peak <= 32 << 20
+
+    def test_rudin_certificate_of_3000_squares(self):
+        # the whole weighted table peaked at 282 MiB
+        rng = random.Random(12)
+        f = TrigPolynomial(
+            {(150000 + s) ** 2: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for s in range(3000)}
+        )
+        cert, peak = self.traced_peak(rudin_certificate, f)
+        assert cert.holds and cert.max_r >= 1
+        assert peak <= 32 << 20
+
+    def test_energy_of_range_20000_in_1_gib(self):
+        # the whole table would need about 5 GB; the closed form is (2n^3 + n)/3
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = str(Path(tauwindow.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "from tauwindow.spectral import additive_energy; print(additive_energy(range(20000)))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            preexec_fn=limit_address_space,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        n = 20000
+        assert int(proc.stdout) == (2 * n**3 + n) // 3
+
+
+class TestQuadratureInPlace:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 3000), min_size=1, max_size=30, unique=True), st.integers(0, 2**32))
+    def test_bit_identical_to_the_temporaries_expression(self, freqs, seed):
+        rng = random.Random(seed)
+        f = TrigPolynomial({n: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for n in freqs})
+        support = f.support()
+        q = spectral._smooth_length(4 * (support[-1] - support[0]) + 3)
+        buf = np.zeros(q, dtype=np.complex128)
+        for n in support:
+            buf[(n - support[0]) % q] += f.terms[n]
+        samples = np.fft.ifft(buf)
+        samples *= q
+        mag2 = samples.real**2 + samples.imag**2
+        assert l4_quadrature_oracle(f) == float(np.mean(mag2 * mag2))
