@@ -326,11 +326,15 @@ _BLOCK = 1 << 13
 
 
 def _split_range(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:
-    """[lo, hi] as at most one nonempty closed range per worker, of near-equal width."""
+    """[lo, hi] as at most `workers` nonempty closed ranges of near-equal width, in order.
+
+    Only hi - lo + 1 of them can be nonempty, so no more edges are made.
+    """
     if workers < 1:
         raise InputError(f"workers must be a positive integer, got {workers}")
     width = hi - lo + 1
-    edges = [lo + width * i // workers for i in range(workers + 1)]
+    parts = min(workers, width)
+    edges = [lo + width * i // parts for i in range(parts + 1)]
     return [(a, b - 1) for a, b in zip(edges, edges[1:]) if a < b]
 
 

@@ -1,11 +1,12 @@
 """Command-line front end: one subcommand per experiment, CSV or JSON reports.
 
 Reports go to stdout (or --out); progress and summaries go to stderr.  With a
-fixed configuration the report bytes are identical run to run, and identical
-for any --workers value.  Exit status is 0 on success, 1 when a
-theorem-backed invariant fails (that signals a bug, not a discovery), and 2
-for usage errors: an InputError, raised by the library's precondition checks
-and by the few checks that only the command line makes.
+fixed configuration the report bytes are identical run to run.  CSV reports
+are also identical for any --workers value; JSON reports differ only in the
+workers value that their parameters echo.  Exit status is 0 on success, 1
+when a theorem-backed invariant fails (that signals a bug, not a discovery),
+and 2 for usage errors: an InputError, raised by the library's precondition
+checks and by the few checks that only the command line makes.
 """
 
 from __future__ import annotations
@@ -237,7 +238,7 @@ def _add_common(sub: argparse.ArgumentParser, workers: bool = False) -> None:
     sub.add_argument("--format", choices=("csv", "json"), default="csv", help="report format")
     sub.add_argument("--out", default=None, help="write the report to this path instead of stdout")
     if workers:
-        sub.add_argument("--workers", type=int, default=1, help="parts to split the work into, run by at most one process per CPU; results are identical for any value")
+        sub.add_argument("--workers", type=int, default=1, help="parts to split the work into, run one after another in this process; results are identical for any value")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,10 +16,11 @@ differences of adjacent squares and cubes, so per-m counts bound the
 representation functions of those sets.  Two divisors of a square window have
 gcd <= 2k, so their lcm is at least 2N^2/k and a scan with 3k^2 < 2N has no
 pairs at all.  Marks are int64 below 2^63 and exact Python ints beyond.  With
-workers > 1 a scan splits [window.lo, m_limit] into equal m-ranges, one per
-worker; each returns only its histogram and first argmax, so merging adds
-histograms.  window_multiple_counts keeps the reverse sieve, one mark for
-every multiple of every window element, as the per-m oracle.
+workers > 1 a scan splits [window.lo, m_limit] into that many equal m-ranges,
+run one after another in this process; each returns only its histogram and
+first argmax, so merging adds histograms.  window_multiple_counts keeps the
+reverse sieve, one mark for every multiple of every window element, as the
+per-m oracle.
 
 ruzsa_scan counts, for every N in [A, B], the divisors d of N in
 [sqrt(N), hi(N)], hi(N) = floor(sqrt(N) + N^(1/2 - eps)).  It has two routes.
@@ -41,16 +42,17 @@ route runs.
 from __future__ import annotations
 
 import math
-import os
 from bisect import bisect_right
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
 from .arith import MAX_VALUE, DivisorRange, InputError, divisors_in_range, _BLOCK, _SMALL_PRIMES, _run_bounds, _split_range
+
+# perfbench/tracer.py saves and restores this name; it goes when the tracer stops patching it
+ProcessPoolExecutor = None
 
 
 @dataclass(frozen=True)
@@ -230,7 +232,7 @@ def _multiple_count(window: DivisorRange, x: int) -> int:
     return total
 
 
-def _range_summary(args: tuple[DivisorRange, int, int]) -> tuple[np.ndarray, int | None]:
+def _range_summary(window: DivisorRange, m0: int, m1: int) -> tuple[np.ndarray, int | None]:
     """Histogram of tau(m; window) over one m-range and the first m attaining its maximum.
 
     An m with t window divisors is hit by exactly C(t, 2) pair lcms, so the
@@ -239,7 +241,6 @@ def _range_summary(args: tuple[DivisorRange, int, int]) -> tuple[np.ndarray, int
     no pairs the first maximum is reported as window.lo: only the first
     range contains it, and the merge takes the first range of greatest tau.
     """
-    window, m0, m1 = args
     marks = _pair_lcm_marks(window, m0, m1)
     # the hit counts overwrite the run bounds, so no third mark-sized array is made
     hits = _run_bounds(marks)
@@ -278,14 +279,7 @@ def window_multiple_counts(window: DivisorRange | tuple[int, int], m_limit: int)
 def _assemble_report(n: int, k: int, m_limit: int, window: DivisorRange, workers: int) -> WindowScanReport:
     if m_limit >= MAX_VALUE:
         raise InputError(f"scans need m_limit < 2**96 to cross-check the argmax, got {m_limit}")
-    # equal m-ranges carry about equal marks; each returns only its summary
-    ranges = [(window, a, b) for a, b in _split_range(window.lo, m_limit, workers)]
-    if len(ranges) == 1:
-        summaries = list(map(_range_summary, ranges))
-    else:
-        # a pool forks all its processes at once; more than one per CPU only adds forks
-        with ProcessPoolExecutor(max_workers=min(len(ranges), os.cpu_count() or 1)) as pool:
-            summaries = list(pool.map(_range_summary, ranges))
+    summaries = [_range_summary(window, a, b) for a, b in _split_range(window.lo, m_limit, workers)]
     size = max(hist.size for hist, _ in summaries)
     total = np.zeros(size, dtype=object)
     for hist, _ in summaries:

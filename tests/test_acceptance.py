@@ -8,6 +8,7 @@ checks, so a FAIL means a bug, not a borderline measurement.
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -146,6 +147,11 @@ def test_criterion_4_fourth_moment_certificates(capsys):
     _report(capsys, "criterion 4 (fourth-moment certificates)", problems, detail)
 
 
+def _scan_matches_sieve(report, counts: dict[int, int]) -> bool:
+    """The scan's histogram and max_tau are those of the per-m sieve counts."""
+    return report.histogram == Counter(counts.values()) and report.max_tau == max(counts.values(), default=0)
+
+
 def _check_square_scale(n: int, k: int, problems: list[str]) -> int:
     report = square_window_scan(n, k)
     window = report.window
@@ -154,6 +160,9 @@ def _check_square_scale(n: int, k: int, problems: list[str]) -> int:
         if tau_interval(m, window) != t:
             problems.append(f"square n={n} k={k}: sieve count wrong at m={m}")
             return 0
+    if not _scan_matches_sieve(report, counts):
+        problems.append(f"square n={n} k={k}: scan histogram or max_tau differs from the sieve")
+        return 0
     freqs = [(n + s) ** 2 for s in range(k + 1)]
     rep_counts = representation_counts(freqs)
     positive = {m: c for m, c in rep_counts.items() if m > 0}
@@ -179,6 +188,9 @@ def _check_cube_scale(n: int, k: int, problems: list[str]) -> int:
         if tau_interval(m, window) != t:
             problems.append(f"cube n={n} k={k}: sieve count wrong at m={m}")
             return 0
+    if not _scan_matches_sieve(report, counts):
+        problems.append(f"cube n={n} k={k}: scan histogram or max_tau differs from the sieve")
+        return 0
     freqs = [(n + s) ** 3 for s in range(k + 1)]
     rep_counts = representation_counts(freqs)
     for m, c in rep_counts.items():

@@ -11,6 +11,7 @@ from tauwindow.arith import (
     MAX_VALUE,
     DivisorRange,
     Factorization,
+    _split_range,
     divisors_in_range,
     factorize,
     is_prime,
@@ -317,3 +318,22 @@ class TestGcdLcm:
     def test_gcd_lcm_product(self, a, b):
         ell = lcm_factored([factorize(a), factorize(b)])
         assert gcd_pair(a, b) * ell.value == a * b
+
+
+def split_by_every_worker(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:
+    """The split with one edge per worker, empty ranges dropped afterwards."""
+    width = hi - lo + 1
+    edges = [lo + width * i // workers for i in range(workers + 1)]
+    return [(a, b - 1) for a, b in zip(edges, edges[1:]) if a < b]
+
+
+class TestSplitRange:
+    def test_more_workers_than_integers(self):
+        # a billion workers cost ten ranges, not a billion edges
+        assert _split_range(1, 10, 10**9) == [(i, i) for i in range(1, 11)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-50, 50), st.integers(1, 60), st.integers(1, 80))
+    def test_matches_one_edge_per_worker(self, lo, width, workers):
+        hi = lo + width - 1
+        assert _split_range(lo, hi, workers) == split_by_every_worker(lo, hi, workers)

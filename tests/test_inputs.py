@@ -98,39 +98,23 @@ def test_factorization_invariant_is_not_input_error():
     assert not isinstance(exc.value, InputError)
 
 
-class _InlinePool:
-    """Stands in for ProcessPoolExecutor: runs in process and records
-    (max_workers, parts mapped) for each map call."""
-
-    calls: list[tuple[int, int]] = []
-
-    def __init__(self, max_workers):
-        self.max_workers = max_workers
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        items = list(items)
-        self.calls.append((self.max_workers, len(items)))
-        return map(fn, items)
-
-
-POOLED = {
-    "square_scan": (windows, lambda w: windows.square_window_scan(50, 7, workers=w)),
-    "cube_scan": (windows, lambda w: windows.cube_window_scan(6, 2, workers=w)),
-    "sidon_range": (sidon, lambda w: sidon.verify_window_range("cube", 1, 200, workers=w)),
+SPLIT = {
+    "square_scan": (windows, "_range_summary", lambda w: windows.square_window_scan(50, 7, workers=w)),
+    "cube_scan": (windows, "_range_summary", lambda w: windows.cube_window_scan(6, 2, workers=w)),
+    "sidon_range": (sidon, "_check_span", lambda w: sidon.verify_window_range("cube", 1, 200, workers=w)),
 }
 
 
-@pytest.mark.parametrize("module, call", POOLED.values(), ids=POOLED.keys())
-def test_pool_size_capped_at_cpu_count(monkeypatch, module, call):
-    # 64 workers still split the work 64 ways, but the pool forks no more
-    # processes than there are CPUs; the fake pool starts none
-    monkeypatch.setattr(module, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(_InlinePool, "calls", [])
-    assert call(64) == call(1)
-    assert _InlinePool.calls == [(min(64, os.cpu_count() or 1), 64)]
+@pytest.mark.parametrize("module, part, call", SPLIT.values(), ids=SPLIT.keys())
+def test_parts_run_in_calling_process(monkeypatch, module, part, call):
+    # 64 workers split the work 64 ways, and every part runs here: no process is started
+    pids = []
+
+    def recorded(*args, real=getattr(module, part)):
+        pids.append(os.getpid())
+        return real(*args)
+
+    expected = call(1)
+    monkeypatch.setattr(module, part, recorded)
+    assert call(64) == expected
+    assert pids == [os.getpid()] * 64

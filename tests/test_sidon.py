@@ -3,7 +3,6 @@
 import math
 import random
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -222,7 +221,7 @@ class TestBatchedKernel:
             widened(mp, extra)
             expected = failures_by_n(*case)
             mp.setattr(sidon, "_BLOCK", block)
-            assert _check_span(case) == expected
+            assert _check_span(*case) == expected
 
     @settings(max_examples=20, deadline=None)
     @given(_boundary_ranges(), st.sampled_from([1, 2, 3]))
@@ -235,9 +234,8 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("kind, hi, extra, count", [("square", 300, 3, 114), ("cube", 60, 20, 8)])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_widened_windows_fail_alike(self, monkeypatch, kind, hi, extra, count, workers):
-        # threads stand in for the process pool, so the parts see the widened helper
+        # every part runs in this process, so each sees the widened helper
         widened(monkeypatch, extra)
-        monkeypatch.setattr(sidon, "ProcessPoolExecutor", ThreadPoolExecutor)
         expected = failures_by_n(kind, 1, hi)
         assert len(expected) == count
         assert verify_window_range(kind, 1, hi, workers=workers).failures == tuple(expected)
@@ -246,7 +244,7 @@ class TestBatchedKernel:
         lo, hi = 2**27, 2**27 + 2
         w = _window_width("cube", lo)
         assert _translated_rows("cube", lo, hi, w).dtype == object
-        assert _check_span(("cube", lo, hi)) == failures_by_n("cube", lo, hi) == []
+        assert _check_span("cube", lo, hi) == failures_by_n("cube", lo, hi) == []
 
     def test_memory_is_a_few_blocks(self):
         # the diff table, its sorted copy and the pair indices are each at most

@@ -254,7 +254,7 @@ class TestScanDifferential:
         lo, hi = g * (b - 1) - x, g * b + y
         m0, m1 = g * b * (b - 1) - below, g * b * (b - 1) + above
         taus = [tau_by_cofactor(m, lo, hi) for m in range(m0, m1 + 1)]
-        hist, first_max = _range_summary((DivisorRange(lo, hi), m0, m1))
+        hist, first_max = _range_summary(DivisorRange(lo, hi), m0, m1)
         expected = Counter(t for t in taus if t)
         assert {t: c for t, c in enumerate(hist.tolist()) if c} == dict(expected)
         assert hist.size - 1 == max(taus) >= 2
