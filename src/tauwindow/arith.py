@@ -321,8 +321,15 @@ def divisors_in_range(n: int, rng: DivisorRange | tuple[int, int]) -> list[int]:
 
 
 # entries per numpy block of the blocked kernels (the pair-lcm scan, the Ruzsa
-# sieve, the Sidon-window table): their working memory beside their output
+# sieve, the Sidon-window table, the quadrature's cosets; spectral's pair
+# kernel takes 8 * _BLOCK pairs): their working memory beside their output
 _BLOCK = 1 << 13
+
+
+def _exact_dtype(largest: int) -> type:
+    """Dtype of an exact integer array with no entry above largest in absolute
+    value: int64 below 2^63, exact Python ints (object) from 2^63 on."""
+    return np.int64 if largest < 1 << 63 else object
 
 
 def _split_range(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:

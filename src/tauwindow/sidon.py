@@ -16,13 +16,13 @@ the same as its energy being trivial.  The N of one window width w form runs
 with closed-form ends: squares of width w run to ceil((w+1)^2 / 8) - 1, cubes
 of width t to 2(t+1)^3 - 1.  Within a run, each row of a numpy table is one
 N, translated by its first element: s*(2N + s) for squares and
-s*(3N^2 + 3Ns + s^2) for cubes, s = 0..w.  The table is int64 while the
-block's largest entry (N + w)^p - N^p is below 2^63 (cubes pass that near
-N = 2^27) and holds exact Python ints beyond.  The C(w+1, 2) differences of
-a row are taken ordered by gap, so a row is w increasing runs; one stable
-sort along the rows merges them, and a row with two equal neighbours is a
-failure.  The cost is sum_N C(w+1, 2) differences, sorted in blocks of at
-most _BLOCK entries (or one row, when a row is longer).
+s*(3N^2 + 3Ns + s^2) for cubes, s = 0..w.  The table's dtype is
+arith._exact_dtype of the block's largest entry (N + w)^p - N^p: int64 below
+2^63 (cubes pass that near N = 2^27) and exact Python ints beyond.  The
+C(w+1, 2) differences of a row are taken ordered by gap, so a row is w
+increasing runs; one stable sort along the rows merges them, and a row with
+two equal neighbours is a failure.  The cost is sum_N C(w+1, 2) differences,
+sorted in blocks of at most _BLOCK entries (or one row, when a row is longer).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .arith import InputError, _BLOCK, _split_range
+from .arith import InputError, _BLOCK, _exact_dtype, _iroot, _split_range
 from .spectral import additive_energy, frequency_set, trivial_energy
 
 # perfbench/tracer.py saves and restores this name; it goes when the tracer stops patching it
@@ -92,26 +92,19 @@ def squares_window(n: int) -> tuple[int, ...]:
     return tuple((n + s) ** 2 for s in range(_window_width("square", n) + 1))
 
 
-def _half_cbrt_floor(n: int) -> int:
-    # largest t with 2*t^3 <= n, exactly
-    t = round((n / 2) ** (1 / 3))
-    while t > 0 and 2 * t * t * t > n:
-        t -= 1
-    while 2 * (t + 1) ** 3 <= n:
-        t += 1
-    return t
-
-
 def _window_width(kind: str, n: int) -> int:
-    """Width w of the kind's window at n: it holds (n + s)^p for s = 0..w."""
-    return math.isqrt(8 * n) if kind == "square" else _half_cbrt_floor(n)
+    """Width w of the kind's window at n: it holds (n + s)^p for s = 0..w.
+
+    For cubes w is the largest t with 2t^3 <= n, that is with t^3 <= n // 2.
+    """
+    return math.isqrt(8 * n) if kind == "square" else _iroot(n // 2, 3)
 
 
 def _width_run_end(kind: str, n: int) -> int:
     """Largest n' >= n with the width of n: 8n' < (w+1)^2 for squares, n' < 2(w+1)^3 for cubes."""
     if kind == "square":
         return -(-((math.isqrt(8 * n) + 1) ** 2) // 8) - 1
-    return 2 * (_half_cbrt_floor(n) + 1) ** 3 - 1
+    return 2 * (_iroot(n // 2, 3) + 1) ** 3 - 1
 
 
 def cubes_window(n: int) -> tuple[int, ...]:
@@ -124,11 +117,11 @@ def cubes_window(n: int) -> tuple[int, ...]:
 def _translated_rows(kind: str, first: int, last: int, w: int) -> np.ndarray:
     """Row n - first holds (n + s)^p - n^p for s = 0..w, for n in [first, last].
 
-    int64 while the largest entry, (last + w)^p - last^p, is below 2^63;
-    every intermediate is at most that entry.  Past it, exact Python ints.
+    The dtype is _exact_dtype of the largest entry, (last + w)^p - last^p;
+    every intermediate is at most that entry.
     """
     p = 2 if kind == "square" else 3
-    dtype = np.int64 if (last + w) ** p - last**p < 1 << 63 else object
+    dtype = _exact_dtype((last + w) ** p - last**p)
     n = np.arange(first, last + 1, dtype=dtype)[:, None]
     s = np.arange(w + 1, dtype=dtype)
     return s * (2 * n + s) if p == 2 else s * (3 * n * n + 3 * n * s + s * s)

@@ -9,7 +9,8 @@ The energy, the L4 norm and max r(m) fold each block into a number, so their
 working memory is O(B + |A|) however large A is; r(m) and c_m add their dict.
 Differences do not change under translation, so the blocks are built in int64
 on the support minus its minimum; the same numpy code runs on exact Python
-ints (object arrays) only when the spread max - min reaches 2^63.
+ints (object arrays) only when the spread max - min reaches 2^63, the rule of
+arith._exact_dtype.
 
 Counting is exact integer work; norms are floating point.  The L4 norm has two
 independent routes: the autocorrelation identity ||f||_4^4 = sum |c_m|^2 and an
@@ -27,7 +28,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .arith import InputError, _BLOCK, _run_bounds
+from .arith import InputError, _BLOCK, _exact_dtype, _run_bounds
 
 _QUADRATURE_POINT_LIMIT = 1 << 26
 
@@ -100,8 +101,7 @@ def _difference_blocks(a: tuple[int, ...], weights=None) -> Iterator[tuple[np.nd
     """
     n = len(a)
     spread = a[-1] - a[0]
-    # exact Python ints only when the translated values overflow int64
-    arr = np.array([x - a[0] for x in a], dtype=np.int64 if spread < 1 << 63 else object)
+    arr = np.array([x - a[0] for x in a], dtype=_exact_dtype(spread))
     if weights is not None:
         w = np.asarray(weights, dtype=np.complex128)
         w_conj = w.conj()

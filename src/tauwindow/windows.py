@@ -15,12 +15,12 @@ m <= 7N^2*k: these are exactly the window/limit pairs produced by factoring
 differences of adjacent squares and cubes, so per-m counts bound the
 representation functions of those sets.  Two divisors of a square window have
 gcd <= 2k, so their lcm is at least 2N^2/k and a scan with 3k^2 < 2N has no
-pairs at all.  Marks are int64 below 2^63 and exact Python ints beyond.  With
-workers > 1 a scan splits [window.lo, m_limit] into that many equal m-ranges,
-run one after another in this process; each returns only its histogram and
-first argmax, so merging adds histograms.  window_multiple_counts keeps the
-reverse sieve, one mark for every multiple of every window element, as the
-per-m oracle.
+pairs at all.  Marks are int64 below 2^63 and exact Python ints beyond, the
+one rule of arith._exact_dtype.  With workers > 1 a scan splits
+[window.lo, m_limit] into that many equal m-ranges, run one after another in
+this process; each returns only its histogram and first argmax, so merging
+adds histograms.  window_multiple_counts keeps the reverse sieve, one mark for
+every multiple of every window element, as the per-m oracle.
 
 ruzsa_scan counts, for every N in [A, B], the divisors d of N in
 [sqrt(N), hi(N)], hi(N) = floor(sqrt(N) + N^(1/2 - eps)).  It has two routes.
@@ -43,13 +43,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
-from .arith import MAX_VALUE, DivisorRange, InputError, divisors_in_range, _BLOCK, _SMALL_PRIMES, _run_bounds, _split_range
+from .arith import MAX_VALUE, DivisorRange, InputError, divisors_in_range, _BLOCK, _SMALL_PRIMES, _exact_dtype, _run_bounds, _split_range
 
 # perfbench/tracer.py saves and restores this name; it goes when the tracer stops patching it
 ProcessPoolExecutor = None
@@ -84,27 +85,20 @@ def tau_interval(m: int, rng: DivisorRange | tuple[int, int]) -> int:
     return len(divisors_in_range(m, rng))
 
 
-def _range_counts(window: DivisorRange, m0: int, m1: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every m in [m0, m1] with a divisor in the window, increasing, and that count.
+def _range_counts(window: DivisorRange, m_limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every m <= m_limit with a divisor in the window, increasing, and that count.
 
-    The marks are the products d * q in [m0, m1] with d in the window.  The loop
-    runs over whichever factor has the shorter range and builds each slice as
-    x * arange(lo, hi + 1): np.arange(start, stop, step) computes its length in
-    floating point and drops the last multiple once the values pass 2^53.
+    The marks are the products d * q <= m_limit with d in the window and
+    q >= 1: each value x of whichever factor has the shorter range gives one
+    progression x * y, y over the other range up to m_limit // x, and one
+    _progressions call expands them all.  Every x has at least one y.
     """
-    # exact Python ints only when a mark can overflow int64
-    dtype = np.int64 if m1 < 1 << 63 else object
-    d_axis = (window.lo, min(window.hi, m1))
-    q_axis = (-(-m0 // window.hi), m1 // window.lo)
+    d_axis = (window.lo, min(window.hi, m_limit))
+    q_axis = (1, m_limit // window.lo)
     (x_lo, x_hi), (y_lo, y_hi) = sorted((d_axis, q_axis), key=lambda r: r[1] - r[0])
-    # every inner range [lo, hi] below has hi >= lo - 1, so its length is the
-    # slice size and the mark array is allocated once
-    slices = [(x, max(y_lo, -(-m0 // x)), min(y_hi, m1 // x)) for x in range(x_lo, x_hi + 1)]
-    marks = np.empty(sum(hi - lo + 1 for _, lo, hi in slices), dtype=dtype)
-    pos = 0
-    for x, lo, hi in slices:
-        np.multiply(np.arange(lo, hi + 1, dtype=dtype), x, out=marks[pos : pos + hi - lo + 1])
-        pos += hi - lo + 1
+    x = np.arange(x_lo, x_hi + 1, dtype=_exact_dtype(m_limit))
+    count = (np.minimum(y_hi, m_limit // x) - y_lo + 1).astype(np.int64)
+    marks = _progressions(x * y_lo, x, count)
     marks.sort()
     bounds = _run_bounds(marks)
     # rebinding frees the full mark array before the counts are taken
@@ -164,8 +158,7 @@ def _pair_lcm_marks(window: DivisorRange, m0: int, m1: int) -> np.ndarray:
     in blocks of _BLOCK entries; a first pass counts the marks, so a second
     fills one array of exact size.
     """
-    # exact Python ints only when a mark can overflow int64
-    dtype = np.int64 if m1 < 1 << 63 else object
+    dtype = _exact_dtype(m1)
     lo, hi = window.lo, window.hi
     b_lo, b_hi = -(-hi // (hi - lo)), m1 // lo
     if b_lo > b_hi:
@@ -232,8 +225,8 @@ def _multiple_count(window: DivisorRange, x: int) -> int:
     return total
 
 
-def _range_summary(window: DivisorRange, m0: int, m1: int) -> tuple[np.ndarray, int | None]:
-    """Histogram of tau(m; window) over one m-range and the first m attaining its maximum.
+def _range_summary(window: DivisorRange, m0: int, m1: int) -> tuple[dict[int, int], int | None]:
+    """Histogram {tau: count} of tau(m; window) over one m-range and the first m of greatest tau.
 
     An m with t window divisors is hit by exactly C(t, 2) pair lcms, so the
     hit counts give every tau >= 2, and the m with tau = 1 are what is left
@@ -259,20 +252,17 @@ def _range_summary(window: DivisorRange, m0: int, m1: int) -> tuple[np.ndarray, 
     singles = incidences - sum(t * number for t, number in tau_counts.items())
     if singles:
         tau_counts[1] = singles
-    # Python-int counts: the tau = 1 count is never materialized and can pass 2^63
-    hist = np.zeros(max(tau_counts, default=0) + 1, dtype=object)
-    hist[list(tau_counts)] = list(tau_counts.values())
     if hits.size:
         # the first run of greatest count starts after all the hits before it
-        return hist, int(marks[hits[: hits.argmax()].sum()])
-    return hist, window.lo if singles else None
+        return tau_counts, int(marks[hits[: hits.argmax()].sum()])
+    return tau_counts, window.lo if singles else None
 
 
 def window_multiple_counts(window: DivisorRange | tuple[int, int], m_limit: int) -> dict[int, int]:
     """Per-m divisor counts: {m: tau(m; window)} for every touched m <= m_limit."""
     if not isinstance(window, DivisorRange):
         window = DivisorRange(*window)
-    values, counts = _range_counts(window, window.lo, m_limit)
+    values, counts = _range_counts(window, m_limit)
     return dict(zip(values.tolist(), counts.tolist()))
 
 
@@ -280,13 +270,12 @@ def _assemble_report(n: int, k: int, m_limit: int, window: DivisorRange, workers
     if m_limit >= MAX_VALUE:
         raise InputError(f"scans need m_limit < 2**96 to cross-check the argmax, got {m_limit}")
     summaries = [_range_summary(window, a, b) for a, b in _split_range(window.lo, m_limit, workers)]
-    size = max(hist.size for hist, _ in summaries)
-    total = np.zeros(size, dtype=object)
-    for hist, _ in summaries:
-        total[: hist.size] += hist
-    max_tau = size - 1
-    argmax_m = next(m for hist, m in summaries if hist.size == size)
-    histogram = {t: c for t, c in enumerate(total.tolist()) if c}
+    total = Counter()
+    for tau_counts, _ in summaries:
+        total.update(tau_counts)
+    max_tau = max(total)
+    argmax_m = next(m for tau_counts, m in summaries if max_tau in tau_counts)
+    histogram = dict(sorted(total.items()))
     # cross-check the reported maximum against the direct divisor count
     direct = tau_interval(argmax_m, window)
     if direct != max_tau:
@@ -367,7 +356,7 @@ def _ruzsa_sieve(n_lo: int, tops: list[int]) -> list[int]:
     """
     n_hi = n_lo + len(tops) - 1
     top = np.array(tops, dtype=np.int64)
-    dtype = np.int64 if n_hi < 1 << 63 else object
+    dtype = _exact_dtype(n_hi)
     d_lo, d_hi = math.isqrt(n_lo - 1) + 1, int(top.max())
     hits = [np.empty(0, dtype=np.int64)]
     for start in range(d_lo, d_hi + 1, _BLOCK):

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from tauwindow.arith import (
     MAX_VALUE,
     DivisorRange,
     Factorization,
+    _exact_dtype,
     _split_range,
     divisors_in_range,
     factorize,
@@ -337,3 +339,9 @@ class TestSplitRange:
     def test_matches_one_edge_per_worker(self, lo, width, workers):
         hi = lo + width - 1
         assert _split_range(lo, hi, workers) == split_by_every_worker(lo, hi, workers)
+
+
+class TestExactDtype:
+    def test_int64_up_to_2_63_minus_1(self):
+        assert _exact_dtype(2**63 - 1) is np.int64
+        assert _exact_dtype(2**63) is object

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -37,6 +38,35 @@ def run_in_address_space(argv, limit):
         preexec_fn=limit_address_space,
         timeout=120,
     )
+
+
+# every command of the README's CLI block, with the sha256 of its stdout
+README_EXAMPLES = [
+    ("energy --n 512 --n 1024", "cace44f5d8a7ad3a30a9fe4e29de62911a4ae3f37a8a99b79268ab752db9ea28"),
+    ("energy --n 100 --k 28", "3b5ab248b60515a5867c06e683be4d84389af0b7cb5a506edad57de1c61ac219"),
+    ("scan-squares --n 100000 --k 562 --workers 4", "e1a0ca6b6bfaa4427d800c37d8158d493c9d7fda805399428d57d0997a4f6188"),
+    ("scan-cubes --n 10 --k 2 --format json", "7b4a115eb3c0adeaf3692f34c973f6bd1f7dde5c61ba7b9568b3437805ae13c1"),
+    ("ruzsa --from 2 --to 10000 --eps 0.25", "e4ac3ebdcb52a62927d384a229bc61ea0c2d5844507effb1e1178ba871df2c58"),
+    ("lcm-bound --d 4,6,10 --s 2", "38f3f2f1440395ebffb0b4efb8b06993ad1ce6967d9e13ff345eb39973a6ce3c"),
+    ("lcm-bound --s 1 --r 3 --d 8", "0227600fd331eb00508995a345cb98638626604540cb05c53bbfe070a5413f2c"),
+    ("sidon --kind cube --from 1 --to 100000", "dd6bdbdbaaf959e66d88462ea3ed41a3c3d6ba2d21d09f28dff34beab20f07be"),
+    ("exponent --power square --r 5 --r 1000", "df1c50c03c9a499594a5965eadd8197901e7b2892d2dca92b9b7f1a6d6f616ec"),
+]
+
+
+class TestReadmeExamples:
+    def test_readme_lists_the_pinned_commands(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"^## CLI\n.*?^```\n(.*?)^```", readme, re.S | re.M).group(1)
+        lines = [line.split("#")[0].split() for line in block.splitlines()]
+        assert [argv[0] for argv in lines] == ["tauwindow"] * len(README_EXAMPLES)
+        assert [" ".join(argv[1:]) for argv in lines] == [command for command, _ in README_EXAMPLES]
+
+    @pytest.mark.parametrize("command, sha256", README_EXAMPLES, ids=[command for command, _ in README_EXAMPLES])
+    def test_report_bytes_are_pinned(self, capsys, command, sha256):
+        code, out, _ = run_cli(capsys, *command.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 class TestScanCommands:

@@ -225,7 +225,7 @@ class TestBatchedKernel:
 
     @settings(max_examples=20, deadline=None)
     @given(_boundary_ranges(), st.sampled_from([1, 2, 3]))
-    def test_pooled_range_matches_is_sidon_per_n(self, case, workers):
+    def test_split_range_matches_is_sidon_per_n(self, case, workers):
         kind, lo, hi = case
         report = verify_window_range(kind, lo, hi, workers=workers)
         assert report.failures == tuple(failures_by_n(*case))
@@ -280,6 +280,16 @@ class TestWidthRuns:
         assert _window_width(kind, start) == _window_width(kind, end) >= w
         assert _window_width(kind, end + 1) > _window_width(kind, end)
         assert _window_width(kind, start - 1) < _window_width(kind, start)
+
+    @pytest.mark.parametrize("t", [1, 2, 12, 2**10, 2**20, 2**31 - 1])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_cube_widths_around_2t3(self, t, offset):
+        # the cube width and run end switch exactly at n = 2t^3
+        n = 2 * t**3 + offset
+        width = t if 2 * t**3 <= n else t - 1
+        assert 2 * width**3 <= n < 2 * (width + 1) ** 3
+        assert _window_width("cube", n) == width
+        assert _width_run_end("cube", n) == 2 * (width + 1) ** 3 - 1
 
 
 def first_cube_past_int64():
