@@ -1,10 +1,13 @@
-"""Exact integer arithmetic: factorization, divisor enumeration in ranges, gcd/lcm
-in factored form.
+"""Exact integer arithmetic: factorization, divisors in a range (listed or
+counted), gcd/lcm in factored form.
 
 Everything here is pure, deterministic, and exact; inputs below 2**96 are
 supported.  Every n factors by one route: trial division by the primes up to
 4096, then a primality test, a perfect-power check and a deterministic
-Pollard-Brent splitter on whatever cofactor is left.
+Pollard-Brent splitter on whatever cofactor is left.  Divisors in [lo, hi]
+come from one meet-in-the-middle core, run on whichever of [lo, hi] and its
+co-divisor range [ceil(n/hi), floor(n/lo)] has the lower top;
+divisors_in_range lists them and _count_divisors_in_range only counts them.
 """
 
 from __future__ import annotations
@@ -83,6 +86,14 @@ class Factorization:
         return 0
 
 
+def _check_range(lo: int, hi: int) -> None:
+    """The precondition of a divisor range [lo, hi], for DivisorRange and plain tuples alike."""
+    if lo < 1:
+        raise InputError(f"range lower bound must be positive, got {lo}")
+    if lo > hi:
+        raise InputError(f"empty range: lo={lo} > hi={hi}")
+
+
 @dataclass(frozen=True)
 class DivisorRange:
     """Closed interval [lo, hi] of candidate divisors."""
@@ -91,10 +102,7 @@ class DivisorRange:
     hi: int
 
     def __post_init__(self) -> None:
-        if self.lo < 1:
-            raise InputError(f"range lower bound must be positive, got {self.lo}")
-        if self.lo > self.hi:
-            raise InputError(f"empty range: lo={self.lo} > hi={self.hi}")
+        _check_range(self.lo, self.hi)
 
 
 def _miller_rabin(n: int, bases: Sequence[int]) -> bool:
@@ -191,7 +199,16 @@ def _iroot(x: int, e: int) -> int:
     """Floor of the e-th root for e >= 2, exactly."""
     if e == 2:
         return math.isqrt(x)
-    r = int(round(x ** (1.0 / e)))
+    if x < 2:
+        return x
+    # 2^ceil(bits/e) is above the root, and integer Newton steps from above
+    # decrease to the floor of the root, with no float on any x
+    r = 1 << -(-x.bit_length() // e)
+    while True:
+        s = ((e - 1) * r + x // r ** (e - 1)) // e
+        if s >= r:
+            break
+        r = s
     while r > 1 and r**e > x:
         r -= 1
     while (r + 1) ** e <= x:
@@ -228,7 +245,7 @@ def _pollard_brent(n: int) -> int:
                 ys = y
                 for _ in range(min(128, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += 128
             r <<= 1
@@ -236,7 +253,7 @@ def _pollard_brent(n: int) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if g != n:
             return g
         c += 1
@@ -266,40 +283,59 @@ def factorize(n: int) -> Factorization:
     """
     if n < 1 or n >= MAX_VALUE:
         raise InputError(f"factorize expects 1 <= n < 2**96, got {n}")
-    found: dict[int, int] = {}
+    factors: list[tuple[int, int]] = []
     m = n
+    root = math.isqrt(m)
     for p in _SMALL_PRIMES:
-        if p * p > m:
+        if p > root:
             break
         if m % p == 0:
             e = 0
             while m % p == 0:
                 m //= p
                 e += 1
-            found[p] = e
+            factors.append((p, e))
+            root = math.isqrt(m)
     if m > 1:
         if m <= _TRIAL_BOUND * _TRIAL_BOUND:
             # every prime factor of m is at least the first prime not tried,
             # whose square exceeds m (or is 4099^2 once the primes run out)
-            found[m] = 1
+            factors.append((m, 1))
         else:
+            found: dict[int, int] = {}
             _split_composite(m, found)
-    return Factorization(n, tuple(sorted(found.items())))
+            factors += sorted(found.items())
+    return Factorization(n, tuple(factors))
 
 
-def divisors_in_range(n: int, rng: DivisorRange | tuple[int, int]) -> list[int]:
-    """Sorted list of divisors d of n with lo <= d <= hi.
+def _divisor_spans(
+    n: int, rng: DivisorRange | tuple[int, int]
+) -> tuple[list[int], list[tuple[int, int, int]], bool]:
+    """Meet in the middle on the divisors of n in rng: (long, spans, mirrored).
 
-    Meet in the middle: each prime power of n joins the half with fewer
-    divisors so far, and each half lists its divisors up to hi.  Every a in
-    the shorter half is matched against the sorted longer half by bisection
-    on [lo/a, hi/a].
+    d | n lies in [lo, hi] exactly when n/d lies in the co-divisor range
+    [ceil(n/hi), floor(n/lo)]; when floor(n/lo) < hi the core runs on that
+    range instead (mirrored), so both halves are pruned at the lower top.
+    Each prime power of n joins the half with fewer divisors so far, each half
+    keeps its divisors up to the top, and the primes above it are skipped.
+    The longer half is sorted, and every a in the shorter half gives one span
+    (a, i, j): the divisors of the range divisible by a are a * long[i:j],
+    found by bisection on [lo/a, hi/a].  Spans with i = j are left out.
     """
-    if not isinstance(rng, DivisorRange):
-        rng = DivisorRange(*rng)
-    lo, hi = rng.lo, rng.hi
+    if isinstance(rng, DivisorRange):
+        lo, hi = rng.lo, rng.hi
+    else:
+        # a tuple is checked as DivisorRange checks itself, with no DivisorRange built
+        lo, hi = rng
+        _check_range(lo, hi)
+    factors = factorize(n).factors
+    mirrored = n // lo < hi
+    if mirrored:
+        lo, hi = -(-n // hi), n // lo
     short, long = [1], [1]
-    for p, e in factorize(n).factors:
+    for p, e in factors:
+        if p > hi:
+            break
         if len(short) > len(long):
             short, long = long, short
         grown = short
@@ -310,14 +346,34 @@ def divisors_in_range(n: int, rng: DivisorRange | tuple[int, int]) -> list[int]:
     if len(short) > len(long):
         short, long = long, short
     long.sort()
-    out: list[int] = []
+    spans = []
     for a in short:
         i = bisect_left(long, -(-lo // a))
         j = bisect_right(long, hi // a, i)
         if i < j:
-            out += [a * b for b in long[i:j]]
+            spans.append((a, i, j))
+    return long, spans, mirrored
+
+
+def divisors_in_range(n: int, rng: DivisorRange | tuple[int, int]) -> list[int]:
+    """Sorted list of divisors d of n with lo <= d <= hi.
+
+    The spans of _divisor_spans are expanded and sorted once; on the mirrored
+    co-divisor range each e maps back to n // e, in reverse order.
+    """
+    long, spans, mirrored = _divisor_spans(n, rng)
+    out: list[int] = []
+    for a, i, j in spans:
+        out += [a * b for b in long[i:j]]
     out.sort()
+    if mirrored:
+        out = [n // e for e in reversed(out)]
     return out
+
+
+def _count_divisors_in_range(n: int, rng: DivisorRange | tuple[int, int]) -> int:
+    """len(divisors_in_range(n, rng)), summed from the spans with no list of divisors."""
+    return sum(j - i for _, i, j in _divisor_spans(n, rng)[1])
 
 
 # entries per numpy block of the blocked kernels (the pair-lcm scan, the Ruzsa

@@ -50,7 +50,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .arith import MAX_VALUE, DivisorRange, InputError, divisors_in_range, _BLOCK, _SMALL_PRIMES, _exact_dtype, _run_bounds, _split_range
+from .arith import MAX_VALUE, DivisorRange, InputError, divisors_in_range, _BLOCK, _count_divisors_in_range, _SMALL_PRIMES, _exact_dtype, _run_bounds, _split_range
 
 # perfbench/tracer.py saves and restores this name; it goes when the tracer stops patching it
 ProcessPoolExecutor = None
@@ -81,8 +81,8 @@ class RuzsaEntry:
 
 
 def tau_interval(m: int, rng: DivisorRange | tuple[int, int]) -> int:
-    """Number of divisors of m in the closed interval."""
-    return len(divisors_in_range(m, rng))
+    """Number of divisors of m in the closed interval, counted without listing them."""
+    return _count_divisors_in_range(m, rng)
 
 
 def _range_counts(window: DivisorRange, m_limit: int) -> tuple[np.ndarray, np.ndarray]:

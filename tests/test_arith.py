@@ -12,7 +12,9 @@ from tauwindow.arith import (
     MAX_VALUE,
     DivisorRange,
     Factorization,
+    _count_divisors_in_range,
     _exact_dtype,
+    _iroot,
     _split_range,
     divisors_in_range,
     factorize,
@@ -61,6 +63,52 @@ def trial_division_oracle(n: int) -> list[tuple[int, int]]:
 
 def brute_divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def brute_divisors_in_range(n: int, lo: int, hi: int) -> list[int]:
+    """Divisors of n in [lo, hi], by trial over the shorter of [lo, hi] and its
+    co-divisor range [ceil(n/hi), floor(n/lo)]."""
+    co_lo, co_hi = -(-n // hi), n // lo
+    if co_hi - co_lo < hi - lo:
+        return sorted(n // e for e in range(co_lo, co_hi + 1) if n % e == 0)
+    return [d for d in range(lo, hi + 1) if n % d == 0]
+
+
+# primes past the 4096 trial-division bound, so factorize reaches Pollard-Brent
+LARGE_PRIMES = (4099, 65537, 1000003, 2**31 - 1, 10**9 + 7, 2**61 - 1)
+
+
+@st.composite
+def smooth_times_large(draw) -> int:
+    """n < 2^96: a smooth part times some large primes."""
+    n = 1
+    for p in draw(st.lists(st.sampled_from((2, 3, 5, 7, 11, 13, 4093)), max_size=12)):
+        n *= p
+    for p in draw(st.lists(st.sampled_from(LARGE_PRIMES), max_size=3)):
+        if n * p < MAX_VALUE:
+            n *= p
+    return n
+
+
+@st.composite
+def number_and_range(draw) -> tuple[int, int, int]:
+    """(n, lo, hi) where [lo, hi] or its co-divisor range is at most a few hundred wide."""
+    n = draw(smooth_times_large())
+    c = draw(st.integers(1, 2 * n + 2))
+    w = draw(st.integers(0, 300))
+    side = draw(st.sampled_from(("direct", "co", "hi_past_n", "lo_past_n", "point")))
+    if side == "direct":
+        return n, c, c + w
+    if side == "co":
+        # the co-divisor range lies in [c, c + w]
+        lo = -(-n // (c + w))
+        return n, lo, max(lo, n // c)
+    if side == "hi_past_n":
+        return n, max(1, n // (w + 1)), n + w + 1
+    if side == "lo_past_n":
+        # the co-divisor range is empty
+        return n, n + 1 + w, n + 1 + w + c
+    return n, c, c
 
 
 class TestFactorize:
@@ -286,6 +334,25 @@ class TestDivisorsInRange:
         with pytest.raises(ValueError):
             DivisorRange(0, 4)
 
+    @settings(max_examples=400, deadline=None)
+    @given(number_and_range())
+    def test_count_and_list_against_the_shorter_side(self, case):
+        n, lo, hi = case
+        expected = brute_divisors_in_range(n, lo, hi)
+        listed = divisors_in_range(n, (lo, hi))
+        assert listed == expected
+        assert _count_divisors_in_range(n, (lo, hi)) == len(listed) == len(expected)
+        assert _count_divisors_in_range(n, DivisorRange(lo, hi)) == len(expected)
+
+    def test_count_with_8847360_divisors(self):
+        # tau(n) = 8,847,360; 659,574 of them lie in [sqrt(n)/2, 2 sqrt(n)]
+        n = 78029614350786269655749865600
+        assert factorize(n).tau() == 8847360
+        root = math.isqrt(n)
+        rng = DivisorRange(root // 2, 2 * root)
+        assert _count_divisors_in_range(n, rng) == 659574
+        assert len(divisors_in_range(n, rng)) == 659574
+
 
 class TestGcdLcm:
     def test_gcd_examples(self):
@@ -339,6 +406,25 @@ class TestSplitRange:
     def test_matches_one_edge_per_worker(self, lo, width, workers):
         hi = lo + width - 1
         assert _split_range(lo, hi, workers) == split_by_every_worker(lo, hi, workers)
+
+
+class TestIroot:
+    @pytest.mark.parametrize("e", [2, 3, 5])
+    def test_around_exact_powers_past_the_float_range(self, e):
+        t = 2**400
+        assert _iroot(t**e - 1, e) == t - 1
+        assert _iroot(t**e, e) == t
+        assert _iroot(t**e + 1, e) == t
+
+    def test_half_of_2_1100(self):
+        r = _iroot(2**1100 // 2, 3)
+        assert r**3 <= 2**1099 < (r + 1) ** 3
+
+    def test_small_against_brute_force(self):
+        for e in range(2, 8):
+            for x in range(0, 3000):
+                r = _iroot(x, e)
+                assert r**e <= x < (r + 1) ** e, (x, e)
 
 
 class TestExactDtype:

@@ -86,6 +86,16 @@ def test_precondition_raises_input_error(call):
         call()
 
 
+@pytest.mark.parametrize("lo, hi", [(0, 4), (-3, 4), (5, 4)])
+@pytest.mark.parametrize("call", [arith.divisors_in_range, windows.tau_interval], ids=["divisors", "tau_interval"])
+def test_tuple_range_raises_as_divisor_range(call, lo, hi):
+    with pytest.raises(InputError) as expected:
+        DivisorRange(lo, hi)
+    with pytest.raises(InputError) as raised:
+        call(12, (lo, hi))
+    assert str(raised.value) == str(expected.value)
+
+
 def test_input_error_is_exported_value_error():
     assert tauwindow.InputError is InputError
     assert issubclass(InputError, ValueError)
