@@ -7,6 +7,9 @@ pair counts or coefficient sums, in disjoint increasing difference ranges of
 at most B = _PAIR_BLOCK pairs each (or |A| - 1, the most one difference holds).
 The energy, the L4 norm and max r(m) fold each block into a number, so their
 working memory is O(B + |A|) however large A is; r(m) and c_m add their dict.
+Coefficients that all equal 1 take the unweighted sort of the differences, with
+the pair counts as the coefficient sums, so ||f||_4^4 of a 0/1 polynomial costs
+what E(A) does.
 Differences do not change under translation, so the blocks are built in int64
 on the support minus its minimum; the same numpy code runs on exact Python
 ints (object arrays) only when the spread max - min reaches 2^63, the rule of
@@ -23,6 +26,8 @@ one FFT each, and its working memory is O(_BLOCK + |supp f|) however large D is.
 
 from __future__ import annotations
 
+import cmath
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -38,9 +43,17 @@ RUDIN_REL_TOL = 1e-9
 _PAIR_BLOCK = 8 * _BLOCK
 
 
+def _frequency(n) -> int:
+    """n as a Python int; Python and numpy integers only, so 1.5 is refused, not truncated."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise InputError(f"frequency {n!r} is not an integer") from None
+
+
 def frequency_set(values: Iterable[int]) -> tuple[int, ...]:
-    """Normalize to a strictly increasing tuple; rejects duplicates."""
-    elems = tuple(sorted(int(v) for v in values))
+    """Normalize to a strictly increasing tuple; rejects duplicates and non-integers."""
+    elems = tuple(sorted(_frequency(v) for v in values))
     if not elems:
         raise InputError("frequency set must be nonempty")
     for x, y in zip(elems, elems[1:]):
@@ -50,16 +63,19 @@ def frequency_set(values: Iterable[int]) -> tuple[int, ...]:
 
 
 class TrigPolynomial:
-    """Finite frequency-to-coefficient map; zero coefficients are dropped."""
+    """Finite map from integer frequencies to finite coefficients; zero
+    coefficients are dropped."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[int, complex]):
         self.terms: dict[int, complex] = {}
         for n, a in terms.items():
-            a = complex(a)
+            n, a = _frequency(n), complex(a)
+            if not cmath.isfinite(a):
+                raise InputError(f"coefficient {a!r} at frequency {n} is not finite")
             if a != 0:
-                self.terms[int(n)] = a
+                self.terms[n] = a
 
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(self.terms))
@@ -98,13 +114,19 @@ def _difference_blocks(a: tuple[int, ...], weights=None) -> Iterator[tuple[np.nd
     (d0, d1]: counts[k] counts the pairs with y - x == diffs[k]; with weights
     aligned to a, sums[k] adds w_y * conj(w_x) over those pairs, and without
     weights sums is None.  Concatenating the blocks gives the whole table.
+    Weights that all equal 1 take the unweighted sort: every product is 1, so
+    the sums are the pair counts, exact in complex128 below 2^53.
     """
     n = len(a)
     spread = a[-1] - a[0]
     arr = np.array([x - a[0] for x in a], dtype=_exact_dtype(spread))
+    w = None
     if weights is not None:
         w = np.asarray(weights, dtype=np.complex128)
-        w_conj = w.conj()
+        if (w == 1).all():
+            w = None
+        else:
+            w_conj = w.conj()
     # for row y, the columns x with d0 < y - x <= d1 are [lo[y], hi[y]); with
     # d0 = 0 the upper ends are the diagonal
     hi = np.arange(n)
@@ -131,7 +153,7 @@ def _difference_blocks(a: tuple[int, ...], weights=None) -> Iterator[tuple[np.nd
         # row y's columns lo[y] .. hi[y] - 1, laid out row after row
         cols = np.arange(pairs) + np.repeat(lo - (np.cumsum(per_row) - per_row), per_row)
         diffs = np.repeat(arr, per_row) - arr[cols]
-        if weights is None:
+        if w is None:
             diffs.sort()
         else:
             prods = np.repeat(w, per_row) * w_conj[cols]
@@ -139,7 +161,12 @@ def _difference_blocks(a: tuple[int, ...], weights=None) -> Iterator[tuple[np.nd
             diffs, prods = diffs[order], prods[order]
         bounds = _run_bounds(diffs)
         starts = bounds[:-1]
-        yield diffs[starts], np.diff(bounds), None if weights is None else np.add.reduceat(prods, starts)
+        counts = np.diff(bounds)
+        if w is not None:
+            sums = np.add.reduceat(prods, starts)
+        else:
+            sums = None if weights is None else counts.astype(np.complex128)
+        yield diffs[starts], counts, sums
         d0, hi = d1, lo
 
 

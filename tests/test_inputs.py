@@ -47,6 +47,14 @@ CASES = {
     "representations_m_0": lambda: windows.square_representations(0, 5, 3),
     "frequency_set_empty": lambda: spectral.frequency_set([]),
     "frequency_set_duplicate": lambda: spectral.frequency_set([3, 1, 3]),
+    "frequency_set_floats": lambda: spectral.frequency_set([1.5, 2.7]),
+    "frequency_set_integral_float": lambda: spectral.frequency_set([1, 2.0]),
+    "frequency_set_string": lambda: spectral.frequency_set(["3"]),
+    "energy_float_frequencies": lambda: spectral.additive_energy([0.5, 1.2]),
+    "polynomial_float_frequency": lambda: TrigPolynomial({1: 1, 1.5: 2}),
+    "polynomial_nan_coefficient": lambda: TrigPolynomial({0: float("nan"), 3: 1}),
+    "polynomial_inf_coefficient": lambda: TrigPolynomial({0: 1, 3: float("-inf")}),
+    "polynomial_complex_inf_coefficient": lambda: TrigPolynomial({0: complex(1, float("inf"))}),
     "energy_empty": lambda: spectral.additive_energy([]),
     "unit_polynomial_duplicate": lambda: spectral.unit_polynomial([2, 2]),
     "max_representation_empty": lambda: spectral.max_positive_representation([]),

@@ -111,6 +111,12 @@ class TestRepresentationCounts:
         with pytest.raises(ValueError):
             frequency_set([])
 
+    def test_numpy_integers_become_python_ints(self):
+        assert frequency_set(np.array([3, 1], dtype=np.int64)) == (1, 3)
+        assert all(type(n) is int for n in frequency_set(np.array([3, 1])))
+        terms = TrigPolynomial({np.uint8(2): 1, np.int64(-5): 2}).terms
+        assert terms == {2: 1, -5: 2} and all(type(n) is int for n in terms)
+
 
 class TestAdditiveEnergy:
     def test_brute_force_examples(self):
@@ -328,6 +334,22 @@ class TestPairKernelRoutes:
         cert = rudin_certificate(f)
         assert (cert.max_r, cert.lhs) == (max_r, l4_norm_4(f))
         assert cert.holds
+
+
+class TestUnitWeights:
+    """All-ones weights take the kernel's unweighted sort; the sums are the pair counts."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(kernel_sets, freq_sets))
+    @example([0, 2**63, 2**64 + 1])
+    def test_unit_polynomial_against_the_counting_functions(self, a):
+        f = unit_polynomial(a)
+        assert l4_norm_4(f) == float(additive_energy(a))
+        assert rudin_certificate(f).max_r == max_positive_representation(a)
+        assert autocorrelation(f).coeffs == {m: complex(c) for m, c in representation_counts(a).items()}
+        # doubling is exact in binary floating point: the weighted path on the
+        # same support gives exactly 2^4 times the unit path
+        assert l4_norm_4(TrigPolynomial({n: 2 for n in a})) == 16 * l4_norm_4(f)
 
 
 class TestAboveFormerCutoffs:
