@@ -378,7 +378,8 @@ def _count_divisors_in_range(n: int, rng: DivisorRange | tuple[int, int]) -> int
 
 # entries per numpy block of the blocked kernels (the pair-lcm scan, the Ruzsa
 # sieve, the Sidon-window table, the quadrature's cosets; spectral's pair
-# kernel takes 8 * _BLOCK pairs): their working memory beside their output
+# kernel, and so is_sidon's energy and witness, takes 8 * _BLOCK pairs): their
+# working memory beside their output
 _BLOCK = 1 << 13
 
 

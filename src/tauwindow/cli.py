@@ -6,7 +6,8 @@ are also identical for any --workers value; JSON reports differ only in the
 workers value that their parameters echo.  Exit status is 0 on success, 1
 when a theorem-backed invariant fails (that signals a bug, not a discovery),
 and 2 for usage errors: an InputError, raised by the library's precondition
-checks and by the few checks that only the command line makes.
+checks and by the few checks that only the command line makes, or a --out
+path that cannot be written.
 """
 
 from __future__ import annotations
@@ -309,7 +310,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, RuntimeError) as exc:
         _diag(f"FAILURE: {exc}")
         return 1
-    _emit(args.command, params, columns, rows, args.format, args.out)
+    try:
+        _emit(args.command, params, columns, rows, args.format, args.out)
+    except OSError as exc:
+        parser.exit(2, f"{parser.prog}: error: cannot write the report: {exc}\n")
     return status
 
 

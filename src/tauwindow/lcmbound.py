@@ -25,6 +25,7 @@ equality cases.  With s = 1 the inequality is false (see counterexample_s1).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from math import comb
 from typing import Sequence
@@ -78,10 +79,10 @@ class LcmBoundCertificate:
 def _certificate(d: tuple[int, ...], s: int) -> LcmBoundCertificate:
     instance = LcmBoundInstance(d=d, s=s)
     r, c, b = instance.r, instance.c, instance.binom
-    exponents: dict[int, list[int]] = {}
+    exponents: defaultdict[int, list[int]] = defaultdict(lambda: [0] * r)
     for i, di in enumerate(d):
         for p, e in factorize(di).factors:
-            exponents.setdefault(p, [0] * r)[i] = e
+            exponents[p][i] = e
     rows = []
     for p in sorted(exponents):
         beta = sorted(exponents[p])

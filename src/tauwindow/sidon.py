@@ -10,19 +10,19 @@ window constructions below are provably Sidon for every N:
 Window endpoints are computed with integer square/cube roots so perfect
 powers at the boundary cannot misround.
 
-verify_window_range checks a range of N without one is_sidon call per N.  A
-set is Sidon exactly when its positive differences are distinct, which is
-the same as its energy being trivial.  The N of one window width w form runs
-with closed-form ends: squares of width w run to ceil((w+1)^2 / 8) - 1, cubes
-of width t to 2(t+1)^3 - 1.  Within a run, each row of a numpy table is one
-N, translated by its first element: s*(2N + s) for squares and
-s*(3N^2 + 3Ns + s^2) for cubes, s = 0..w.  The table's dtype is
-arith._exact_dtype of the block's largest entry (N + w)^p - N^p: int64 below
-2^63 (cubes pass that near N = 2^27) and exact Python ints beyond.  The
-C(w+1, 2) differences of a row are taken ordered by gap, so a row is w
-increasing runs; one stable sort along the rows merges them, and a row with
-two equal neighbours is a failure.  The cost is sum_N C(w+1, 2) differences,
-sorted in blocks of at most _BLOCK entries (or one row, when a row is longer).
+is_sidon takes the energy, and a non-Sidon set's witness, from spectral's pair
+kernel, so its memory is O(_PAIR_BLOCK + |A|).  verify_window_range checks a
+range of N without one is_sidon call per N, through its positive differences
+being distinct.  The N of one window width w form runs with closed-form ends:
+squares of width w run to ceil((w+1)^2 / 8) - 1, cubes of width t to
+2(t+1)^3 - 1.  Within a run, each row of a numpy table is one N, translated by
+its first element: s*(2N + s) for squares and s*(3N^2 + 3Ns + s^2) for cubes,
+s = 0..w, in the dtype arith._exact_dtype gives the block's largest entry
+(int64 below 2^63, which cubes pass near N = 2^27).  The C(w+1, 2) index
+pairs come from windows._progressions ordered by gap, so a row's differences
+are w increasing runs; one stable sort along the rows merges them, and a row
+with two equal neighbours is a failure.  The cost is sum_N C(w+1, 2)
+differences, in blocks of at most _BLOCK entries (or one row, when longer).
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from typing import Iterable
 import numpy as np
 
 from .arith import InputError, _BLOCK, _exact_dtype, _iroot, _split_range
-from .spectral import additive_energy, frequency_set, trivial_energy
+from .spectral import _difference_blocks, additive_energy, frequency_set, trivial_energy
+from .windows import _progressions
 
 # perfbench/tracer.py saves and restores this name; it goes when the tracer stops patching it
 ProcessPoolExecutor = None
@@ -61,22 +62,30 @@ class WindowRangeReport:
 
 
 def _find_witness(a: tuple[int, ...]) -> tuple[int, int, int, int]:
-    # smallest colliding sum, then the two lexicographically smallest pairs
-    buckets: dict[int, list[tuple[int, int]]] = {}
-    for i, x in enumerate(a):
-        for y in a[i:]:
-            buckets.setdefault(x + y, []).append((x, y))
-    for total in sorted(buckets):
-        pairs = buckets[total]
-        if len(pairs) > 1:
-            pairs.sort()
-            (a1, b1), (a2, b2) = pairs[0], pairs[1]
+    """Smallest colliding sum, then its two lexicographically smallest pairs.
+
+    With a' = a - a[0] and c = spread + 1, the differences across the halves of
+    B = (-c - a') u a' are the sums c + x + y, above every difference inside a
+    half.  x + x counts once and x + y (x < y) twice, so the first count of 3 or
+    more at a difference >= c is c plus the smallest sum with two pairs.
+    """
+    c = a[-1] - a[0] + 1
+    shifted = [x - a[0] for x in a]
+    b = tuple(-c - x for x in reversed(shifted)) + tuple(shifted)
+    for diffs, counts, _ in _difference_blocks(b):
+        hit = np.flatnonzero((diffs >= c) & (counts >= 3))
+        if hit.size:
+            total = int(diffs[hit[0]]) - c + 2 * a[0]
+            members = set(a)
+            (a1, b1), (a2, b2) = [(x, total - x) for x in a if 2 * x <= total and total - x in members][:2]
             return (a1, b1, a2, b2)
     raise RuntimeError("witness requested for a Sidon set")
 
 
 def is_sidon(freqs: Iterable[int]) -> SidonVerdict:
-    """Exact energy comparison; non-Sidon sets get a deterministic witness."""
+    """Exact energy comparison; a non-Sidon set gets the witness (a1, b1, a2, b2):
+    the two lexicographically smallest pairs a1 <= b1, a2 <= b2 of the smallest
+    colliding sum a1 + b1 = a2 + b2, in O(_PAIR_BLOCK + |A|) memory."""
     a = frequency_set(freqs)
     energy = additive_energy(a)
     trivial = trivial_energy(len(a))
@@ -134,9 +143,10 @@ def _check_span(kind: str, lo: int, hi: int) -> list[int]:
     while first <= hi:
         w = _window_width(kind, first)
         last = min(hi, _width_run_end(kind, first))
-        i, j = np.triu_indices(w + 1, 1)
-        order = np.argsort(j - i, kind="stable")
-        i, j = i[order], j[order]
+        # the pairs (i, i + g) for g = 1..w, i = 0..w - g: ordered by gap, then by i
+        g = np.arange(1, w + 1)
+        i = _progressions(np.zeros_like(g), np.ones_like(g), w + 1 - g)
+        j = i + np.repeat(g, w + 1 - g)
         rows = max(1, _BLOCK // max(1, i.size))
         for start in range(first, last + 1, rows):
             vals = _translated_rows(kind, start, min(start + rows - 1, last), w)
@@ -148,28 +158,18 @@ def _check_span(kind: str, lo: int, hi: int) -> list[int]:
     return failures
 
 
-def verify_window_range(
-    kind: str, n_lo: int, n_hi: int, workers: int = 1
-) -> WindowRangeReport:
+def verify_window_range(kind: str, n_lo: int, n_hi: int, workers: int = 1) -> WindowRangeReport:
     """Check the kind's window for every N in [n_lo, n_hi]; failures are the non-Sidon N.
 
-    A failure is an N whose window has two equal positive differences, which
-    is exactly is_sidon's verdict.  The N are checked a block of rows at a
-    time: runs of one window width w, each row translated to start at 0, in
-    int64 while the entries fit and in Python ints past 2^63, with the
-    C(w+1, 2) differences of every row sorted together.  The cost is
-    sum_N C(w+1, 2) differences, in blocks of at most _BLOCK entries.  With
-    workers > 1 the range of N is split into that many equal parts, checked
-    one after another in this process.
-
-    The constructions are theorems, so any reported failure means the window
-    endpoint arithmetic (not the mathematics) is wrong.
+    A failure is an N whose window has two equal positive differences, exactly
+    is_sidon's verdict, found by the batched row table of the module docstring.
+    With workers > 1 the range of N is split into that many equal parts,
+    checked one after another in this process.  The constructions are
+    theorems, so any failure means the window endpoint arithmetic is wrong.
     """
     if kind not in _KINDS:
         raise InputError(f"kind must be one of {_KINDS}, got {kind!r}")
     if n_lo < 1 or n_lo > n_hi:
         raise InputError("need 1 <= n_lo <= n_hi")
     failures = [n for a, b in _split_range(n_lo, n_hi, workers) for n in _check_span(kind, a, b)]
-    return WindowRangeReport(
-        kind=kind, n_lo=n_lo, n_hi=n_hi, checked=n_hi - n_lo + 1, failures=tuple(failures)
-    )
+    return WindowRangeReport(kind, n_lo, n_hi, n_hi - n_lo + 1, tuple(failures))

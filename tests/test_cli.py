@@ -344,3 +344,15 @@ class TestOutputFile:
         assert code == 0
         assert out == ""
         assert target.read_text().splitlines()[1] == "square,3,1,1/2,0.5"
+
+    @pytest.mark.parametrize("missing_dir", [True, False])
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys, missing_dir):
+        # a path under a missing directory, or a directory itself
+        target = tmp_path / "missing" / "x.csv" if missing_dir else tmp_path
+        with pytest.raises(SystemExit) as exc:
+            main(["sidon", "--kind", "cube", "--from", "1", "--to", "10", "--out", str(target)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error" in line.lower()]
+        assert len(errors) == 1 and errors[0].startswith("tauwindow: error: ")

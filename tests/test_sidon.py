@@ -37,6 +37,35 @@ def quadruple_sidon_oracle(a):
     return True
 
 
+def witness_oracle(a):
+    """Every pair sum in a dict; the smallest sum with two pairs, and its two
+    lexicographically smallest pairs.  None for a Sidon set."""
+    elems = sorted(a)
+    buckets = {}
+    for i, x in enumerate(elems):
+        for y in elems[i:]:
+            buckets.setdefault(x + y, []).append((x, y))
+    for total in sorted(buckets):
+        pairs = sorted(buckets[total])
+        if len(pairs) > 1:
+            (a1, b1), (a2, b2) = pairs[0], pairs[1]
+            return (a1, b1, a2, b2)
+    return None
+
+
+@st.composite
+def _witness_sets(draw):
+    # small sets, optionally with a forced x + x = y + z, dilated so that the
+    # kernel's set B = (-c - a') u a' can pass 2^63, and shifted past 2^63 or below 0
+    a = set(draw(st.lists(st.integers(0, 60), min_size=1, max_size=14)))
+    if draw(st.booleans()):
+        x, d = draw(st.integers(1, 60)), draw(st.integers(1, 30))
+        a |= {x - d, x, x + d}
+    scale = draw(st.sampled_from([1, 7, 2**61]))
+    shift = draw(st.sampled_from([0, -(10**6), 2**63 - 30, 2**70, -(2**70)]))
+    return [shift + scale * v for v in a]
+
+
 def sum_side_energy_oracle(a):
     """Energy via sum representations: independent of the difference route."""
     counts = {}
@@ -84,6 +113,29 @@ class TestIsSidon:
             assert a1 + b1 == a2 + b2
             assert {a1, b1} != {a2, b2}
             assert {a1, b1, a2, b2} <= set(a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_witness_sets())
+    @example([1, 2, 3])
+    @example([-5, -3, -1, 0, 2])
+    @example([2**63 + v for v in (0, 1, 3, 4, 6)])
+    @example([2**62 * v for v in (0, 1, 2, 5)])
+    def test_witness_matches_the_dict_oracle(self, a):
+        assert is_sidon(a).witness == witness_oracle(a)
+
+    @pytest.mark.parametrize(
+        "a, witness", [(range(1, 2001), (1, 3, 2, 2)), ([i * i for i in range(1, 2001)], (1, 49, 25, 25))]
+    )
+    def test_witness_memory_is_a_few_blocks(self, a, witness):
+        # no table of all |A|(|A|+1)/2 pair sums: a dict of those of range(1, 2001) traces 124 MiB
+        tracemalloc.start()
+        try:
+            verdict = is_sidon(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdict.witness == witness
+        assert peak <= 16 * 2**20
 
     def test_witness_determinism(self):
         a = [0, 1, 2, 4, 5, 100]
