@@ -377,9 +377,10 @@ def _count_divisors_in_range(n: int, rng: DivisorRange | tuple[int, int]) -> int
 
 
 # entries per numpy block of the blocked kernels (the pair-lcm scan, the Ruzsa
-# sieve, the Sidon-window table, the quadrature's cosets; spectral's pair
-# kernel, and so is_sidon's energy and witness, takes 8 * _BLOCK pairs): their
-# working memory beside their output
+# sieve, the Sidon-window difference rows, the quadrature's cosets; spectral's
+# pair kernel, and so is_sidon's energy and witness, takes 8 * _BLOCK pairs):
+# their working memory beside their output and, for the Sidon rows, beside the
+# per-run coefficient rows
 _BLOCK = 1 << 13
 
 

@@ -307,6 +307,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         columns, rows, params, status = args.handler(args)
     except InputError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
+    except MemoryError as exc:
+        # numpy's text names the size it could not allocate
+        parser.exit(2, f"{parser.prog}: error: {str(exc) or 'out of memory'}\n")
     except (ValueError, RuntimeError) as exc:
         _diag(f"FAILURE: {exc}")
         return 1

@@ -11,17 +11,14 @@ Window endpoints are computed with integer square/cube roots so perfect
 powers at the boundary cannot misround.
 
 is_sidon takes the energy, and a non-Sidon set's witness, from spectral's pair
-kernel, so its memory is O(_PAIR_BLOCK + |A|).  verify_window_range checks a
-range of N without one is_sidon call per N, through its positive differences
-being distinct.  The N of one window width w form runs with closed-form ends:
-squares of width w run to ceil((w+1)^2 / 8) - 1, cubes of width t to
-2(t+1)^3 - 1.  Within a run, each row of a numpy table is one N, translated by
-its first element: s*(2N + s) for squares and s*(3N^2 + 3Ns + s^2) for cubes,
-s = 0..w, in the dtype arith._exact_dtype gives the block's largest entry
-(int64 below 2^63, which cubes pass near N = 2^27).  The C(w+1, 2) index
-pairs come from windows._progressions ordered by gap, so a row's differences
-are w increasing runs; one stable sort along the rows merges them, and a row
-with two equal neighbours is a failure.  The cost is sum_N C(w+1, 2)
+kernel, so its memory is O(_PAIR_BLOCK + |A|).  verify_window_range checks
+that the positive differences of each window in a range of N are distinct.
+The N of one width w run to ceil((w+1)^2 / 8) - 1 for squares, to 2(w+1)^3 - 1
+for cubes.  Over the pairs (i, i + g), ordered by gap g and then by i, each
+difference is a polynomial in N, g(2N + 2i + g) or g(3(N+i)^2 + 3(N+i)g + g^2):
+a run builds its coefficient rows once, and a block evaluates one row per N
+by Horner steps.  A row is then w increasing runs; one stable sort merges
+them, and two equal neighbours are a failure.  The cost is sum_N C(w+1, 2)
 differences, in blocks of at most _BLOCK entries (or one row, when longer).
 """
 
@@ -29,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -102,10 +99,8 @@ def squares_window(n: int) -> tuple[int, ...]:
 
 
 def _window_width(kind: str, n: int) -> int:
-    """Width w of the kind's window at n: it holds (n + s)^p for s = 0..w.
-
-    For cubes w is the largest t with 2t^3 <= n, that is with t^3 <= n // 2.
-    """
+    """Width w of the kind's window at n, which holds (n + s)^p for s = 0..w;
+    for cubes w is the largest t with 2t^3 <= n, that is with t^3 <= n // 2."""
     return math.isqrt(8 * n) if kind == "square" else _iroot(n // 2, 3)
 
 
@@ -123,37 +118,41 @@ def cubes_window(n: int) -> tuple[int, ...]:
     return tuple((n + s) ** 3 for s in range(_window_width("cube", n) + 1))
 
 
-def _translated_rows(kind: str, first: int, last: int, w: int) -> np.ndarray:
-    """Row n - first holds (n + s)^p - n^p for s = 0..w, for n in [first, last].
-
-    The dtype is _exact_dtype of the largest entry, (last + w)^p - last^p;
-    every intermediate is at most that entry.
-    """
+def _difference_rows(kind: str, first: int, last: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Blocks (start, diffs) for the N in [first, last], all of one width w: row
+    N - start of diffs holds (N + i + g)^p - (N + i)^p over the pairs ordered
+    by gap g = 1..w, then by i = 0..w - g.  The coefficient rows of these
+    polynomials in N are built once, in _exact_dtype of the largest difference,
+    which bounds every coefficient and every intermediate of the Horner steps."""
+    w = _window_width(kind, first)
     p = 2 if kind == "square" else 3
     dtype = _exact_dtype((last + w) ** p - last**p)
-    n = np.arange(first, last + 1, dtype=dtype)[:, None]
-    s = np.arange(w + 1, dtype=dtype)
-    return s * (2 * n + s) if p == 2 else s * (3 * n * n + 3 * n * s + s * s)
+    g = np.arange(1, w + 1)
+    i = _progressions(np.zeros_like(g), np.ones_like(g), w + 1 - g).astype(dtype)
+    g = np.repeat(g, w + 1 - g).astype(dtype)
+    h = g * (2 * i + g)
+    coeffs = [2 * g, h] if p == 2 else [3 * g, 3 * h, g * (3 * i * (i + g) + g * g)]
+    rows = max(1, _BLOCK // max(1, g.size))
+    for start in range(first, last + 1, rows):
+        n = np.arange(start, min(start + rows, last + 1), dtype=dtype)[:, None]
+        diffs = coeffs[0] * n
+        for c in coeffs[1:-1]:
+            diffs += c
+            diffs *= n
+        diffs += coeffs[-1]
+        yield start, diffs
 
 
 def _check_span(kind: str, lo: int, hi: int) -> list[int]:
-    """The N in [lo, hi], in order, whose window has two equal positive differences."""
+    """The N in [lo, hi], in order, whose _difference_rows row holds two equal differences."""
     failures: list[int] = []
     first = lo
     while first <= hi:
-        w = _window_width(kind, first)
         last = min(hi, _width_run_end(kind, first))
-        # the pairs (i, i + g) for g = 1..w, i = 0..w - g: ordered by gap, then by i
-        g = np.arange(1, w + 1)
-        i = _progressions(np.zeros_like(g), np.ones_like(g), w + 1 - g)
-        j = i + np.repeat(g, w + 1 - g)
-        rows = max(1, _BLOCK // max(1, i.size))
-        for start in range(first, last + 1, rows):
-            vals = _translated_rows(kind, start, min(start + rows - 1, last), w)
-            diffs = np.sort(vals[:, j] - vals[:, i], axis=1, kind="stable")
-            clash = diffs[:, 1:] == diffs[:, :-1]
-            if clash.any():
-                failures += [start + int(r) for r in np.flatnonzero(clash.any(axis=1))]
+        for start, diffs in _difference_rows(kind, first, last):
+            diffs.sort(axis=1, kind="stable")
+            clash = (diffs[:, 1:] == diffs[:, :-1]).any(axis=1)
+            failures += [start + int(r) for r in clash.nonzero()[0]]
         first = last + 1
     return failures
 
@@ -161,10 +160,10 @@ def _check_span(kind: str, lo: int, hi: int) -> list[int]:
 def verify_window_range(kind: str, n_lo: int, n_hi: int, workers: int = 1) -> WindowRangeReport:
     """Check the kind's window for every N in [n_lo, n_hi]; failures are the non-Sidon N.
 
-    A failure is an N whose window has two equal positive differences, exactly
-    is_sidon's verdict, found by the batched row table of the module docstring.
-    With workers > 1 the range of N is split into that many equal parts,
-    checked one after another in this process.  The constructions are
+    A failure is an N whose window has two equal positive differences (exactly
+    is_sidon's verdict), found by the difference polynomials of the module
+    docstring.  With workers > 1 the range of N is split into that many equal
+    parts, checked one after another in this process.  The constructions are
     theorems, so any failure means the window endpoint arithmetic is wrong.
     """
     if kind not in _KINDS:

@@ -83,7 +83,8 @@ def smooth_times_large(draw) -> int:
     """n < 2^96: a smooth part times some large primes."""
     n = 1
     for p in draw(st.lists(st.sampled_from((2, 3, 5, 7, 11, 13, 4093)), max_size=12)):
-        n *= p
+        if n * p < MAX_VALUE:
+            n *= p
     for p in draw(st.lists(st.sampled_from(LARGE_PRIMES), max_size=3)):
         if n * p < MAX_VALUE:
             n *= p

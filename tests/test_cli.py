@@ -191,6 +191,15 @@ class TestSidonCommand:
         assert row["checked"] == 49
         assert row["failures"] == []
 
+    @pytest.mark.parametrize("kind, n, size", [("square", 10**8, "2.98 GiB"), ("cube", 2**60, "2.52 TiB")])
+    def test_refused_allocation_exits_2(self, kind, n, size):
+        # one window's C(w + 1, 2) difference pairs do not fit in 2 GiB
+        proc = run_in_address_space(["sidon", "--kind", kind, "--from", str(n), "--to", str(n)], 2 << 30)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("tauwindow: error: Unable to allocate " + size)
+        assert proc.stderr.count("\n") == 1
+
 
 class TestEnergyCommand:
     def test_prefix_probe(self, capsys):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from tauwindow import sidon
 from tauwindow.sidon import (
     _check_span,
-    _translated_rows,
+    _difference_rows,
     _width_run_end,
     _window_width,
     cubes_window,
@@ -21,8 +21,6 @@ from tauwindow.sidon import (
     verify_window_range,
 )
 from tauwindow.spectral import additive_energy, trivial_energy
-
-POWER = {"square": 2, "cube": 3}
 
 
 def quadruple_sidon_oracle(a):
@@ -240,6 +238,18 @@ def failures_by_n(kind, lo, hi):
     return [n for n in range(lo, hi + 1) if not is_sidon(window_for(kind, n)).is_sidon]
 
 
+def first_cube_past_int64():
+    """Least N whose cube window has its largest difference at or above 2^63."""
+    lo, hi = 1, 1 << 64
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (mid + _window_width("cube", mid)) ** 3 - mid**3 >= 1 << 63:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def first_of_width(kind, w):
     """Least N whose window has width at least w; the width changes there."""
     return -(-(w * w) // 8) if kind == "square" else 2 * w**3
@@ -294,8 +304,7 @@ class TestBatchedKernel:
 
     def test_cubes_at_2_27_take_the_object_table(self):
         lo, hi = 2**27, 2**27 + 2
-        w = _window_width("cube", lo)
-        assert _translated_rows("cube", lo, hi, w).dtype == object
+        assert all(rows.dtype == object for _, rows in _difference_rows("cube", lo, hi))
         assert _check_span("cube", lo, hi) == failures_by_n("cube", lo, hi) == []
 
     def test_memory_is_a_few_blocks(self):
@@ -310,6 +319,35 @@ class TestBatchedKernel:
             tracemalloc.stop()
         assert report.failures == ()
         assert peak <= 16 * block_bytes
+
+    @pytest.mark.parametrize("lo, hi", [(1, 100000), (2**21, 2**21 + 999)])
+    def test_cube_memory_is_a_few_blocks(self, lo, hi):
+        # a cube run holds three coefficient rows of at most one block each
+        # (w = 101 at 2^21: 5151 pairs), beside one block of differences
+        tracemalloc.start()
+        try:
+            report = verify_window_range("cube", lo, hi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.failures == ()
+        assert peak <= 16 * 8 * sidon._BLOCK
+
+    # squares at N = 100003 fail from extra = 7 on; the cube windows there stay
+    # Sidon even 800 wider, so their object table is compared on passes only
+    @pytest.mark.parametrize("extra", [0, 3, 7])
+    @pytest.mark.parametrize(
+        "kind, lo",
+        [
+            # the object table: the run's largest difference passes 2^63
+            ("cube", first_cube_past_int64() - 2),
+            # w = 894, so C(w + 1, 2) pairs make one row per block
+            ("square", 100000),
+        ],
+    )
+    def test_widened_wide_windows_fail_alike(self, monkeypatch, kind, lo, extra):
+        widened(monkeypatch, extra)
+        assert _check_span(kind, lo, lo + 3) == failures_by_n(kind, lo, lo + 3)
 
 
 class TestWidthRuns:
@@ -344,36 +382,39 @@ class TestWidthRuns:
         assert _width_run_end("cube", n) == 2 * (width + 1) ** 3 - 1
 
 
-def first_cube_past_int64():
-    """Least N whose one-row cube table has its largest entry at or above 2^63."""
-    lo, hi = 1, 1 << 64
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if (mid + _window_width("cube", mid)) ** 3 - mid**3 >= 1 << 63:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+def gap_ordered_differences(window):
+    """The positive differences window[i + g] - window[i], ordered by gap g, then by i."""
+    w = len(window) - 1
+    return tuple(window[i + g] - window[i] for g in range(1, w + 1) for i in range(w + 1 - g))
 
 
-class TestTranslatedRows:
+def rows_by_n(kind, first, last):
+    """(n, row) for each N the blocks of _difference_rows hold, and the set of their dtypes."""
+    blocks = list(_difference_rows(kind, first, last))
+    pairs = [(start + r, tuple(int(x) for x in row)) for start, rows in blocks for r, row in enumerate(rows)]
+    return pairs, {rows.dtype for _, rows in blocks}
+
+
+class TestDifferenceRows:
     @pytest.mark.parametrize("offset", [-2, -1, 0, 1])
-    def test_rows_plus_first_element_are_windows(self, offset):
+    def test_cube_rows_around_the_int64_switch(self, offset):
         # cube blocks ending just below, at and above the switch from int64 to
         # Python ints (squares reach it only at widths of millions)
         last = first_cube_past_int64() + offset
         first = last - 2
         assert _width_run_end("cube", first) >= last
-        rows = _translated_rows("cube", first, last, _window_width("cube", first))
-        assert rows.dtype == (object if offset >= 0 else np.int64)
-        for n, row in zip(range(first, last + 1), rows):
-            assert tuple(int(x) + n**3 for x in row) == cubes_window(n)
+        pairs, dtypes = rows_by_n("cube", first, last)
+        assert dtypes == {np.dtype(object) if offset >= 0 else np.dtype(np.int64)}
+        assert pairs == [(n, gap_ordered_differences(cubes_window(n))) for n in range(first, last + 1)]
 
-    @pytest.mark.parametrize("kind", ["square", "cube"])
-    @pytest.mark.parametrize("first", [1, 2, 17, 2000, 2**21, 2**27])
-    def test_rows_at_small_and_large_n(self, kind, first):
+    # squares stop at w = 894: a row holds C(w + 1, 2) differences, 8.4e6 at
+    # N = 2^21 and 5.4e8 at 2^27
+    @pytest.mark.parametrize(
+        "first, kind",
+        [(n, "cube") for n in (1, 2, 17, 2000, 2**21, 2**27)] + [(n, "square") for n in (1, 2, 17, 2000, 100000)],
+    )
+    def test_rows_at_small_and_large_n(self, first, kind):
         last = min(first + 4, _width_run_end(kind, first))
-        w = _window_width(kind, first)
-        rows = _translated_rows(kind, first, last, w)
-        for n, row in zip(range(first, last + 1), rows):
-            assert tuple(int(x) + n ** POWER[kind] for x in row) == window_for(kind, n)
+        pairs, dtypes = rows_by_n(kind, first, last)
+        assert dtypes == {np.dtype(object) if (kind, first) == ("cube", 2**27) else np.dtype(np.int64)}
+        assert pairs == [(n, gap_ordered_differences(window_for(kind, n))) for n in range(first, last + 1)]
