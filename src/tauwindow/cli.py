@@ -8,6 +8,11 @@ when a theorem-backed invariant fails (that signals a bug, not a discovery),
 and 2 for usage errors: an InputError, raised by the library's precondition
 checks and by the few checks that only the command line makes, or a --out
 path that cannot be written.
+
+Both energy modes compute the additive energy of a square window
+{(b + s)^2 : 0 <= s <= k}: --n n --k k is the window b = n, and each prefix
+probe {i^2 : i <= n} is the window b = 1, k = n - 1.  Every energy argument
+is checked before the first energy is computed.
 """
 
 from __future__ import annotations
@@ -74,43 +79,32 @@ def _diag(message: str) -> None:
 
 
 def _cmd_energy(args: argparse.Namespace) -> tuple[list[str], list[dict], dict, int]:
-    params = {"n": args.n, "k": args.k}
+    prefix = args.k is None
+    if prefix:
+        if min(args.n) < 2:
+            raise InputError("energy requires --n >= 2 (the n^2 log n scale at n=1 is 0)")
+        spans = [(1, n - 1) for n in args.n]
+    elif len(args.n) != 1:
+        raise InputError("energy with --k takes exactly one --n")
+    elif not 1 <= args.k <= args.n[0]:
+        raise InputError("energy requires 1 <= k <= n when --k is given")
+    else:
+        spans = [(args.n[0], args.k)]
     rows = []
     status = 0
-    if args.k is not None:
-        if len(args.n) != 1:
-            raise InputError("energy with --k takes exactly one --n")
-        n, k = args.n[0], args.k
-        if not 1 <= k <= n:
-            raise InputError("energy requires 1 <= k <= n when --k is given")
-        freqs = [(n + s) ** 2 for s in range(k + 1)]
-        e = spectral.additive_energy(freqs)
-        triv = spectral.trivial_energy(len(freqs))
-        rows.append(
-            {"n": n, "k": k, "size": len(freqs), "energy": e, "trivial_energy": triv}
-        )
+    for base, k in spans:
+        e = spectral.additive_energy([(base + s) ** 2 for s in range(k + 1)])
+        triv = spectral.trivial_energy(k + 1)
         if e < triv:
             status = 1
-        return ["n", "k", "size", "energy", "trivial_energy"], rows, params, status
-    for n in args.n:
-        if n < 2:
-            raise InputError("energy requires --n >= 2 (the n^2 log n scale at n=1 is 0)")
-        freqs = [i * i for i in range(1, n + 1)]
-        e = spectral.additive_energy(freqs)
-        triv = spectral.trivial_energy(n)
-        rows.append(
-            {
-                "n": n,
-                "size": n,
-                "energy": e,
-                "trivial_energy": triv,
-                "energy_over_n2_logn": e / (n * n * math.log(n)),
-            }
-        )
-        if e < triv:
-            status = 1
-    cols = ["n", "size", "energy", "trivial_energy", "energy_over_n2_logn"]
-    return cols, rows, params, status
+        if prefix:
+            n = k + 1
+            ratio = e / (n * n * math.log(n))
+            rows.append({"n": n, "size": n, "energy": e, "trivial_energy": triv, "energy_over_n2_logn": ratio})
+        else:
+            rows.append({"n": base, "k": k, "size": k + 1, "energy": e, "trivial_energy": triv})
+    # the columns are the row fields, in order
+    return list(rows[0]), rows, {"n": args.n, "k": args.k}, status
 
 
 def _scan_rows(report: windows.WindowScanReport) -> list[dict]:
@@ -123,8 +117,6 @@ def _scan_rows(report: windows.WindowScanReport) -> list[dict]:
         "max_tau": report.max_tau,
         "argmax_m": report.argmax_m,
     }
-    if not report.histogram:
-        return [dict(base, tau=None, count=None)]
     return [dict(base, tau=t, count=report.histogram[t]) for t in sorted(report.histogram)]
 
 

@@ -30,7 +30,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .arith import InputError, _BLOCK, _exact_dtype, _iroot, _split_range
+from .arith import MAX_VALUE, InputError, _BLOCK, _exact_dtype, _iroot, _split_range
 from .spectral import _difference_blocks, additive_energy, frequency_set, trivial_energy
 from .windows import _progressions
 
@@ -170,5 +170,7 @@ def verify_window_range(kind: str, n_lo: int, n_hi: int, workers: int = 1) -> Wi
         raise InputError(f"kind must be one of {_KINDS}, got {kind!r}")
     if n_lo < 1 or n_lo > n_hi:
         raise InputError("need 1 <= n_lo <= n_hi")
+    if n_hi >= MAX_VALUE:
+        raise InputError(f"Sidon ranges support integers below 2**96, got n_hi={n_hi}")
     failures = [n for a, b in _split_range(n_lo, n_hi, workers) for n in _check_span(kind, a, b)]
     return WindowRangeReport(kind, n_lo, n_hi, n_hi - n_lo + 1, tuple(failures))

@@ -85,27 +85,6 @@ def tau_interval(m: int, rng: DivisorRange | tuple[int, int]) -> int:
     return _count_divisors_in_range(m, rng)
 
 
-def _range_counts(window: DivisorRange, m_limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every m <= m_limit with a divisor in the window, increasing, and that count.
-
-    The marks are the products d * q <= m_limit with d in the window and
-    q >= 1: each value x of whichever factor has the shorter range gives one
-    progression x * y, y over the other range up to m_limit // x, and one
-    _progressions call expands them all.  Every x has at least one y.
-    """
-    d_axis = (window.lo, min(window.hi, m_limit))
-    q_axis = (1, m_limit // window.lo)
-    (x_lo, x_hi), (y_lo, y_hi) = sorted((d_axis, q_axis), key=lambda r: r[1] - r[0])
-    x = np.arange(x_lo, x_hi + 1, dtype=_exact_dtype(m_limit))
-    count = (np.minimum(y_hi, m_limit // x) - y_lo + 1).astype(np.int64)
-    marks = _progressions(x * y_lo, x, count)
-    marks.sort()
-    bounds = _run_bounds(marks)
-    # rebinding frees the full mark array before the counts are taken
-    marks = marks[bounds[:-1]]
-    return marks, np.diff(bounds)
-
-
 def _progressions(first: np.ndarray, step: np.ndarray, count: np.ndarray) -> np.ndarray:
     """first[i] + step[i] * arange(count[i]) for every i, concatenated; every count >= 1.
 
@@ -259,11 +238,26 @@ def _range_summary(window: DivisorRange, m0: int, m1: int) -> tuple[dict[int, in
 
 
 def window_multiple_counts(window: DivisorRange | tuple[int, int], m_limit: int) -> dict[int, int]:
-    """Per-m divisor counts: {m: tau(m; window)} for every touched m <= m_limit."""
+    """Per-m divisor counts: {m: tau(m; window)} for every touched m <= m_limit.
+
+    The marks are the products d * q <= m_limit with d in the window and
+    q >= 1: each value x of whichever factor has the shorter range gives one
+    progression x * y, y over the other range up to m_limit // x, and one
+    _progressions call expands them all.  Every x has at least one y.
+    """
     if not isinstance(window, DivisorRange):
         window = DivisorRange(*window)
-    values, counts = _range_counts(window, m_limit)
-    return dict(zip(values.tolist(), counts.tolist()))
+    d_axis = (window.lo, min(window.hi, m_limit))
+    q_axis = (1, m_limit // window.lo)
+    (x_lo, x_hi), (y_lo, y_hi) = sorted((d_axis, q_axis), key=lambda r: r[1] - r[0])
+    x = np.arange(x_lo, x_hi + 1, dtype=_exact_dtype(m_limit))
+    count = (np.minimum(y_hi, m_limit // x) - y_lo + 1).astype(np.int64)
+    marks = _progressions(x * y_lo, x, count)
+    marks.sort()
+    bounds = _run_bounds(marks)
+    # rebinding frees the full mark array before the counts are taken
+    marks = marks[bounds[:-1]]
+    return dict(zip(marks.tolist(), np.diff(bounds).tolist()))
 
 
 def _assemble_report(n: int, k: int, m_limit: int, window: DivisorRange, workers: int) -> WindowScanReport:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import tauwindow
-from tauwindow import windows
+from tauwindow import spectral, windows
 from tauwindow.cli import main
 
 
@@ -200,6 +200,27 @@ class TestSidonCommand:
         assert proc.stderr.startswith("tauwindow: error: Unable to allocate " + size)
         assert proc.stderr.count("\n") == 1
 
+    def test_range_beyond_2_96_is_usage_error(self, capsys):
+        # numpy cannot size the cube window at N = 2^1100; the range is refused first
+        n = str(2**1100)
+        with pytest.raises(SystemExit) as exc:
+            main(["sidon", "--kind", "cube", "--from", n, "--to", n])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("tauwindow: error: ") and captured.err.count("\n") == 1
+        assert "2**96" in captured.err and "FAILURE" not in captured.err
+
+
+def energy_rows(capsys, fmt, *argv):
+    """The rows of an energy report, with CSV cells read back as JSON numbers."""
+    code, out, _ = run_cli(capsys, "energy", *argv, "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        return json.loads(out)["rows"]
+    header, *lines = out.splitlines()
+    return [{col: json.loads(cell) for col, cell in zip(header.split(","), line.split(","))} for line in lines]
+
 
 class TestEnergyCommand:
     def test_prefix_probe(self, capsys):
@@ -227,6 +248,50 @@ class TestEnergyCommand:
         # the width-28 window at n=100 is Sidon, so energy is trivial
         assert row["size"] == 29
         assert row["energy"] == row["trivial_energy"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--n", "64", "--n", "1"], ["--n", "64", "--n", "65", "--k", "3"], ["--n", "64", "--k", "65"]],
+        ids=["prefix_n_1", "window_two_n", "window_k_gt_n"],
+    )
+    def test_arguments_checked_before_any_energy(self, capsys, monkeypatch, argv):
+        calls = []
+
+        def recorded(freqs, real=spectral.additive_energy):
+            calls.append(len(freqs))
+            return real(freqs)
+
+        monkeypatch.setattr(spectral, "additive_energy", recorded)
+        with pytest.raises(SystemExit) as exc:
+            main(["energy", *argv])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("tauwindow: error: energy ")
+        assert calls == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_prefix_rows_are_single_runs(self, capsys, fmt):
+        ns = [2, 17, 64, 150]
+        rows = energy_rows(capsys, fmt, *[arg for n in ns for arg in ("--n", str(n))])
+        assert [row["n"] for row in rows] == ns
+        for n, row in zip(ns, rows):
+            assert energy_rows(capsys, fmt, "--n", str(n)) == [row]
+            assert list(row) == ["n", "size", "energy", "trivial_energy", "energy_over_n2_logn"]
+            assert row["size"] == n
+            assert row["energy"] == spectral.additive_energy([i * i for i in range(1, n + 1)])
+            assert row["trivial_energy"] == spectral.trivial_energy(n)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n, k", [(1, 1), (10, 10), (50, 7), (100, 28)])
+    def test_window_row_is_its_energy(self, capsys, fmt, n, k):
+        [row] = energy_rows(capsys, fmt, "--n", str(n), "--k", str(k))
+        assert row == {
+            "n": n,
+            "k": k,
+            "size": k + 1,
+            "energy": spectral.additive_energy([(n + s) ** 2 for s in range(k + 1)]),
+            "trivial_energy": spectral.trivial_energy(k + 1),
+        }
+        assert list(row) == ["n", "k", "size", "energy", "trivial_energy"]
 
 
 class TestRuzsaCommand:

@@ -70,6 +70,7 @@ CASES = {
     "sidon_from_gt_to": lambda: sidon.verify_window_range("cube", 5, 4),
     "sidon_from_0": lambda: sidon.verify_window_range("square", 0, 4),
     "sidon_workers_0": lambda: sidon.verify_window_range("square", 1, 10, workers=0),
+    "sidon_to_2_96": lambda: sidon.verify_window_range("cube", MAX_VALUE, MAX_VALUE),
     "lcm_one_value": lambda: lcmbound.verify_lcm_bound([4], 2),
     "lcm_value_0": lambda: lcmbound.verify_lcm_bound([4, 0], 2),
     "lcm_value_2_96": lambda: lcmbound.verify_lcm_bound([4, 6, MAX_VALUE], 2),
