@@ -5,8 +5,11 @@ Everything here is pure, deterministic, and exact; inputs below 2**96 are
 supported.  Every n factors by one route: trial division by the primes up to
 4096, then a primality test, a perfect-power check and a deterministic
 Pollard-Brent splitter on whatever cofactor is left.  Divisors in [lo, hi]
-come from one meet-in-the-middle core, run on whichever of [lo, hi] and its
-co-divisor range [ceil(n/hi), floor(n/lo)] has the lower top;
+are found on the narrower of [lo, hi] and its co-divisor range
+[ceil(n/hi), floor(n/lo)] by one of two exact routes, picked by operation
+count: a walk that tests each candidate with n % e when the side holds no
+more candidates than the pi(min(4096, sqrt(n))) trial divisions factorize
+would start with, else a meet-in-the-middle core on the factorization.
 divisors_in_range lists them and _count_divisors_in_range only counts them.
 """
 
@@ -92,6 +95,12 @@ def _check_range(lo: int, hi: int) -> None:
         raise InputError(f"range lower bound must be positive, got {lo}")
     if lo > hi:
         raise InputError(f"empty range: lo={lo} > hi={hi}")
+
+
+def _check_value(n: int) -> None:
+    """The precondition of factorize, which the divisor walk shares without factorizing."""
+    if n < 1 or n >= MAX_VALUE:
+        raise InputError(f"factorize expects 1 <= n < 2**96, got {n}")
 
 
 @dataclass(frozen=True)
@@ -281,8 +290,7 @@ def factorize(n: int) -> Factorization:
     One route for every n: trial division by the primes up to 4096, then the
     cofactor is 1, a prime, or split by _split_composite.
     """
-    if n < 1 or n >= MAX_VALUE:
-        raise InputError(f"factorize expects 1 <= n < 2**96, got {n}")
+    _check_value(n)
     factors: list[tuple[int, int]] = []
     m = n
     root = math.isqrt(m)
@@ -308,19 +316,12 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, tuple(factors))
 
 
-def _divisor_spans(
-    n: int, rng: DivisorRange | tuple[int, int]
-) -> tuple[list[int], list[tuple[int, int, int]], bool]:
-    """Meet in the middle on the divisors of n in rng: (long, spans, mirrored).
-
-    d | n lies in [lo, hi] exactly when n/d lies in the co-divisor range
-    [ceil(n/hi), floor(n/lo)]; when floor(n/lo) < hi the core runs on that
-    range instead (mirrored), so both halves are pruned at the lower top.
-    Each prime power of n joins the half with fewer divisors so far, each half
-    keeps its divisors up to the top, and the primes above it are skipped.
-    The longer half is sorted, and every a in the shorter half gives one span
-    (a, i, j): the divisors of the range divisible by a are a * long[i:j],
-    found by bisection on [lo/a, hi/a].  Spans with i = j are left out.
+def _narrower_side(n: int, rng: DivisorRange | tuple[int, int]) -> tuple[int, int, bool, bool]:
+    """Check n and rng, then (lo, hi, mirrored, walk) for the narrower of rng
+    and its co-divisor range [ceil(n/hi), floor(n/lo)], mirrored when that is
+    the co-divisor range.  walk is windows.ruzsa_route's cost rule: the side
+    holds no more candidates than the pi(min(4096, sqrt(n))) trial divisions
+    factorize would start with.  An empty side always walks, with no work.
     """
     if isinstance(rng, DivisorRange):
         lo, hi = rng.lo, rng.hi
@@ -328,12 +329,28 @@ def _divisor_spans(
         # a tuple is checked as DivisorRange checks itself, with no DivisorRange built
         lo, hi = rng
         _check_range(lo, hi)
-    factors = factorize(n).factors
-    mirrored = n // lo < hi
+    # the walk never calls factorize, so its precondition is checked here
+    _check_value(n)
+    co_lo, co_hi = -(-n // hi), n // lo
+    mirrored = co_hi - co_lo < hi - lo
     if mirrored:
-        lo, hi = -(-n // hi), n // lo
+        lo, hi = co_lo, co_hi
+    return lo, hi, mirrored, hi - lo < bisect_right(_SMALL_PRIMES, math.isqrt(n))
+
+
+def _divisor_spans(n: int, lo: int, hi: int) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """Meet in the middle on the divisors of n in [lo, hi]: (long, spans).
+
+    Each prime power of n joins the half with fewer divisors so far, each half
+    keeps its divisors up to hi, and the primes above it are skipped, so the
+    callers run it on the narrower side, whose top is the lower one up to
+    rounding.  The longer half is sorted, and every a in the shorter half
+    gives one span (a, i, j): the divisors of the range divisible by a are
+    a * long[i:j], found by bisection on [lo/a, hi/a].  Spans with i = j are
+    left out.
+    """
     short, long = [1], [1]
-    for p, e in factors:
+    for p, e in factorize(n).factors:
         if p > hi:
             break
         if len(short) > len(long):
@@ -352,28 +369,36 @@ def _divisor_spans(
         j = bisect_right(long, hi // a, i)
         if i < j:
             spans.append((a, i, j))
-    return long, spans, mirrored
+    return long, spans
 
 
 def divisors_in_range(n: int, rng: DivisorRange | tuple[int, int]) -> list[int]:
     """Sorted list of divisors d of n with lo <= d <= hi.
 
-    The spans of _divisor_spans are expanded and sorted once; on the mirrored
-    co-divisor range each e maps back to n // e, in reverse order.
+    On the narrower side the walk keeps the candidates that divide n, in
+    order, or the spans of _divisor_spans are expanded and sorted once; on the
+    mirrored co-divisor range each e maps back to n // e, in reverse order.
     """
-    long, spans, mirrored = _divisor_spans(n, rng)
-    out: list[int] = []
-    for a, i, j in spans:
-        out += [a * b for b in long[i:j]]
-    out.sort()
+    lo, hi, mirrored, walk = _narrower_side(n, rng)
+    if walk:
+        out = [e for e in range(lo, hi + 1) if n % e == 0]
+    else:
+        long, spans = _divisor_spans(n, lo, hi)
+        out = []
+        for a, i, j in spans:
+            out += [a * b for b in long[i:j]]
+        out.sort()
     if mirrored:
         out = [n // e for e in reversed(out)]
     return out
 
 
 def _count_divisors_in_range(n: int, rng: DivisorRange | tuple[int, int]) -> int:
-    """len(divisors_in_range(n, rng)), summed from the spans with no list of divisors."""
-    return sum(j - i for _, i, j in _divisor_spans(n, rng)[1])
+    """len(divisors_in_range(n, rng)), walked or summed from the spans with no list of divisors."""
+    lo, hi, _, walk = _narrower_side(n, rng)
+    if walk:
+        return sum(1 for e in range(lo, hi + 1) if n % e == 0)
+    return sum(j - i for _, i, j in _divisor_spans(n, lo, hi)[1])
 
 
 # entries per numpy block of the blocked kernels (the pair-lcm scan, the Ruzsa

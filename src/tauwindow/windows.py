@@ -29,14 +29,16 @@ its cofactor q = N/d has q <= d, so d runs over [ceil(sqrt(A)), max hi(N)],
 q over [ceil(A/d), min(d, B/d)], and N = d*q counts d when d <= hi(N).  The
 counts are indexed by N - A = d*(q - ceil(A/d)) + (-A mod d), which is int64
 whenever B - A is, so ranges past 2^63 need no object route.  The per-N
-route calls tau_interval, which factorizes N.  Both read hi(N) from one
-Python float expression (numpy's power can differ by one ulp), so their
-counts are equal.  ruzsa_route picks by operation count, with no tuned
+route calls tau_interval, which walks the narrower of N's window and its
+co-divisor range when it holds no more candidates than the trial divisions
+factorizing N would start with, and factorizes N otherwise.  Both read hi(N)
+from one Python float expression (numpy's power can differ by one ulp), so
+their counts are equal.  ruzsa_route picks by operation count, with no tuned
 constant: the sieve makes one step per d, about sqrt(B) - sqrt(A) +
-B^(1/2-eps) of them, and the per-N route makes pi(min(4096, sqrt(B)))
-trial divisions per N; the sieve runs when its steps are no more.  With a
-tiny eps near 2^96 the d-axis is far longer than the N-axis, and the per-N
-route runs.
+B^(1/2-eps) of them, and the per-N route at most pi(min(4096, sqrt(B)))
+trial divisions or walk steps per N; the sieve runs when its steps are no
+more.  With a tiny eps near 2^96 the d-axis is far longer than the N-axis,
+and the per-N route runs.
 """
 
 from __future__ import annotations
@@ -307,10 +309,12 @@ def ruzsa_route(n_lo: int, n_hi: int, eps: float) -> str:
 
     The routes are compared by operation count.  The sieve makes one step per
     d in [ceil(sqrt(n_lo)), hi(n_hi)], hi(N) = floor(sqrt(N) + N^(1/2 - eps));
-    the per-N route factorizes every N, which starts with trial division by
-    the primes up to min(4096, sqrt(N)), pi(min(4096, sqrt(n_hi))) of them at
-    the top.  The sieve is taken when its steps are no more than those
-    divisions.
+    the per-N route counts through tau_interval, which factorizes N, starting
+    with trial division by the primes up to min(4096, sqrt(N)),
+    pi(min(4096, sqrt(n_hi))) of them at the top, or walks N's divisor
+    candidates when they are no more than those divisions.  So that count per
+    N is an upper bound on the per-N route's trial work, and the sieve is
+    taken when its steps are no more than it.
     """
     # math.isqrt(n - 1) + 1 is ceil(sqrt(n)) for n >= 1
     d_steps = _ruzsa_tops(n_hi, n_hi, eps)[0] - math.isqrt(n_lo - 1)
@@ -376,7 +380,7 @@ def ruzsa_scan(n_lo: int, n_hi: int, eps: float) -> list[RuzsaEntry]:
     empirical probe.  ruzsa_route chooses the route by operation count:
     _ruzsa_sieve walks d in [ceil(sqrt(n_lo)), max hi(N)] and the cofactors
     q <= d, indexing each product by N - n_lo in int64 however large N is;
-    _ruzsa_per_n factorizes each N through tau_interval.  Both read the same
+    _ruzsa_per_n counts each N through tau_interval.  Both read the same
     hi(N), so their counts are equal.
     """
     if not 0 < eps < 0.5:

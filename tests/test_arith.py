@@ -2,19 +2,24 @@
 
 import math
 import random
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tauwindow import arith, windows
 from tauwindow.arith import (
     MAX_VALUE,
     DivisorRange,
     Factorization,
+    _SMALL_PRIMES,
     _count_divisors_in_range,
+    _divisor_spans,
     _exact_dtype,
     _iroot,
+    _narrower_side,
     _split_range,
     divisors_in_range,
     factorize,
@@ -110,6 +115,27 @@ def number_and_range(draw) -> tuple[int, int, int]:
         # the co-divisor range is empty
         return n, n + 1 + w, n + 1 + w + c
     return n, c, c
+
+
+@st.composite
+def number_and_route_width(draw) -> tuple[int, int, int]:
+    """(n, lo, hi) whose narrower side is about as wide as the walk's bound.
+
+    n is smooth times large primes or, past 2^64, 2^61 - 1 times a cofactor.
+    [lo, lo + w - 1] lies below sqrt(n)/2 where n allows it, so its
+    co-divisor range is wider once w >= 2, and w is the bound
+    pi(min(4096, sqrt(n))) moved by -2..2.  Half the draws pass that
+    co-divisor range instead, whose own co-divisor range lies in
+    [lo, lo + w - 1].
+    """
+    n = draw(st.one_of(smooth_times_large(), st.integers(9, 2**34).map(lambda c: c * (2**61 - 1))))
+    root = math.isqrt(n)
+    w = max(1, bisect_right(_SMALL_PRIMES, root) + draw(st.integers(-2, 2)))
+    lo = draw(st.integers(1, max(1, root // 2 - w + 1)))
+    hi = lo + w - 1
+    if draw(st.booleans()) and -(-n // hi) <= n // lo:
+        lo, hi = -(-n // hi), n // lo
+    return n, lo, hi
 
 
 class TestFactorize:
@@ -344,6 +370,37 @@ class TestDivisorsInRange:
         assert listed == expected
         assert _count_divisors_in_range(n, (lo, hi)) == len(listed) == len(expected)
         assert _count_divisors_in_range(n, DivisorRange(lo, hi)) == len(expected)
+
+    @settings(max_examples=400, deadline=None)
+    @given(number_and_route_width())
+    def test_walk_and_spans_agree_around_the_bound(self, case):
+        n, lo, hi = case
+        expected = brute_divisors_in_range(n, lo, hi)
+        # the walk is taken exactly when the narrower side holds at most the bound
+        narrower = min(hi - lo + 1, max(0, n // lo - -(-n // hi) + 1))
+        assert _narrower_side(n, (lo, hi))[3] == (narrower <= bisect_right(_SMALL_PRIMES, math.isqrt(n)))
+        # the meet-in-the-middle core, on [lo, hi] itself, whatever the route
+        assert sum(j - i for _, i, j in _divisor_spans(n, lo, hi)[1]) == len(expected)
+        for rng in ((lo, hi), DivisorRange(lo, hi)):
+            assert divisors_in_range(n, rng) == expected
+            assert _count_divisors_in_range(n, rng) == len(expected)
+
+    def test_window_walk_never_factorizes(self, monkeypatch):
+        class Factorized(Exception):
+            pass
+
+        def refuse(n):
+            raise Factorized(n)
+
+        monkeypatch.setattr(arith, "factorize", refuse)
+        # the co-divisor range [28, 33] holds 6 candidates, against pi(109) = 29
+        # trial divisions: 12,000 = 400 * 30 = 375 * 32
+        assert windows.tau_interval(12000, (360, 434)) == 2
+        assert divisors_in_range(12000, (360, 434)) == [375, 400]
+        n = 78029614350786269655749865600
+        root = math.isqrt(n)
+        with pytest.raises(Factorized):
+            _count_divisors_in_range(n, (root // 2, 2 * root))
 
     def test_count_with_8847360_divisors(self):
         # tau(n) = 8,847,360; 659,574 of them lie in [sqrt(n)/2, 2 sqrt(n)]

@@ -28,6 +28,8 @@ CASES = {
     "divisors_n_2_96": lambda: arith.divisors_in_range(MAX_VALUE, (1, 2)),
     "divisors_empty_range": lambda: arith.divisors_in_range(12, (3, 2)),
     "tau_interval_m_0": lambda: windows.tau_interval(0, (1, 10)),
+    # the co-divisor range [2, 2] is walked, with no factorization
+    "tau_interval_m_2_96": lambda: windows.tau_interval(2**96, (2**95, 2**95 + 1)),
     "square_scan_k_gt_n": lambda: windows.square_window_scan(5, 6),
     "square_scan_k_0": lambda: windows.square_window_scan(5, 0),
     "square_scan_n_0": lambda: windows.square_window_scan(0, 1),
@@ -102,6 +104,17 @@ def test_tuple_range_raises_as_divisor_range(call, lo, hi):
         DivisorRange(lo, hi)
     with pytest.raises(InputError) as raised:
         call(12, (lo, hi))
+    assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("n", [0, MAX_VALUE])
+@pytest.mark.parametrize("call", [arith.divisors_in_range, windows.tau_interval], ids=["divisors", "tau_interval"])
+def test_walked_value_raises_as_factorize(call, n):
+    # [n // 2, n // 2 + 1] is short enough to walk, and the walk never factorizes
+    with pytest.raises(InputError) as expected:
+        arith.factorize(n)
+    with pytest.raises(InputError) as raised:
+        call(n, (max(1, n // 2), n // 2 + 1))
     assert str(raised.value) == str(expected.value)
 
 
