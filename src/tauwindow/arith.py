@@ -16,6 +16,7 @@ divisors_in_range lists them and _count_divisors_in_range only counts them.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
@@ -89,8 +90,17 @@ class Factorization:
         return 0
 
 
+def _integer(x, what: str) -> int:
+    """x as a Python int; Python and numpy integers only, so 1.5 is refused, not truncated."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise InputError(f"{what} {x!r} is not an integer") from None
+
+
 def _check_range(lo: int, hi: int) -> None:
     """The precondition of a divisor range [lo, hi], for DivisorRange and plain tuples alike."""
+    lo, hi = _integer(lo, "range bound"), _integer(hi, "range bound")
     if lo < 1:
         raise InputError(f"range lower bound must be positive, got {lo}")
     if lo > hi:
@@ -99,6 +109,7 @@ def _check_range(lo: int, hi: int) -> None:
 
 def _check_value(n: int) -> None:
     """The precondition of factorize, which the divisor walk shares without factorizing."""
+    n = _integer(n, "value")
     if n < 1 or n >= MAX_VALUE:
         raise InputError(f"factorize expects 1 <= n < 2**96, got {n}")
 
@@ -335,7 +346,13 @@ def _narrower_side(n: int, rng: DivisorRange | tuple[int, int]) -> tuple[int, in
     mirrored = co_hi - co_lo < hi - lo
     if mirrored:
         lo, hi = co_lo, co_hi
-    return lo, hi, mirrored, hi - lo < bisect_right(_SMALL_PRIMES, math.isqrt(n))
+    return lo, hi, mirrored, hi - lo < _trial_divisions(n)
+
+
+def _trial_divisions(n: int) -> int:
+    """pi(min(4096, sqrt(n))), the trial divisions factorize starts with on n:
+    the cost both the divisor walk and windows.ruzsa_route weigh against."""
+    return bisect_right(_SMALL_PRIMES, math.isqrt(n))
 
 
 def _divisor_spans(n: int, lo: int, hi: int) -> tuple[list[int], list[tuple[int, int, int]]]:

@@ -133,7 +133,7 @@ def _cmd_scan(args: argparse.Namespace, kind: str) -> tuple[list[str], list[dict
 
 def _cmd_ruzsa(args: argparse.Namespace) -> tuple[list[str], list[dict], dict, int]:
     entries = windows.ruzsa_scan(args.n_lo, args.n_hi, args.eps)
-    rows = [{"n": e.n, "count": e.count, "running_max": e.running_max} for e in entries]
+    rows = [e._asdict() for e in entries]
     route = windows.ruzsa_route(args.n_lo, args.n_hi, args.eps)
     _diag(f"ruzsa [{args.n_lo},{args.n_hi}] eps={args.eps}: max count={entries[-1].running_max} route={route}")
     params = {"from": args.n_lo, "to": args.n_hi, "eps": args.eps}

@@ -20,20 +20,19 @@ independent routes: the autocorrelation identity ||f||_4^4 = sum |c_m|^2 and an
 equally-spaced quadrature rule that is exact for the bandwidth of |f|^4, which
 makes each one an oracle for the other.  |f|^4 has bandwidth 2D for D the
 frequency spread, so Q >= 2D + 1 points suffice; the quadrature takes them in
-cosets of about max(_BLOCK, |supp f|) points (rounded up to a 5-smooth length),
+cosets of about max(_BLOCK, |supp f|) points (rounded up to a power of two),
 one FFT each, and its working memory is O(_BLOCK + |supp f|) however large D is.
 """
 
 from __future__ import annotations
 
 import cmath
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .arith import InputError, _BLOCK, _exact_dtype, _run_bounds
+from .arith import InputError, _BLOCK, _exact_dtype, _integer, _run_bounds
 
 _QUADRATURE_POINT_LIMIT = 1 << 26
 
@@ -43,17 +42,9 @@ RUDIN_REL_TOL = 1e-9
 _PAIR_BLOCK = 8 * _BLOCK
 
 
-def _frequency(n) -> int:
-    """n as a Python int; Python and numpy integers only, so 1.5 is refused, not truncated."""
-    try:
-        return operator.index(n)
-    except TypeError:
-        raise InputError(f"frequency {n!r} is not an integer") from None
-
-
 def frequency_set(values: Iterable[int]) -> tuple[int, ...]:
     """Normalize to a strictly increasing tuple; rejects duplicates and non-integers."""
-    elems = tuple(sorted(_frequency(v) for v in values))
+    elems = tuple(sorted(_integer(v, "frequency") for v in values))
     if not elems:
         raise InputError("frequency set must be nonempty")
     for x, y in zip(elems, elems[1:]):
@@ -71,7 +62,7 @@ class TrigPolynomial:
     def __init__(self, terms: Mapping[int, complex]):
         self.terms: dict[int, complex] = {}
         for n, a in terms.items():
-            n, a = _frequency(n), complex(a)
+            n, a = _integer(n, "frequency"), complex(a)
             if not cmath.isfinite(a):
                 raise InputError(f"coefficient {a!r} at frequency {n} is not finite")
             if a != 0:
@@ -228,19 +219,6 @@ def l4_norm_4(f: TrigPolynomial) -> float:
     return _fourth_moment(f)[0] if f.terms else 0.0
 
 
-def _smooth_length(n: int) -> int:
-    """Smallest 2^i * 3^j * 5^k >= n; FFTs of these lengths are fast."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
 def l4_quadrature_oracle(f: TrigPolynomial) -> float:
     """Mean of |f|^4 over Q >= 2D + 1 equally spaced points, D the frequency
     spread of f, taken one coset of the points at a time.
@@ -248,7 +226,7 @@ def l4_quadrature_oracle(f: TrigPolynomial) -> float:
     |f|^4 is a trigonometric polynomial of bandwidth 2D, so the rule is exact
     up to floating error for any Q > 2D.  Independent of the autocorrelation
     route: the values come from pointwise samples of f.  The block length L is
-    the smallest 5-smooth integer >= min(2D + 1, max(_BLOCK, |supp f|)), there
+    the least power of two >= min(2D + 1, max(_BLOCK, |supp f|)), there
     are S = ceil((2D + 1) / L) cosets and Q = S * L.  Coset r holds the points
     (r + S j) / Q, j < L; its samples are one length-L inverse FFT of the
     coefficients a_n e((n - base) r / Q) bucketed at (n - base) mod L.  Working
@@ -265,7 +243,8 @@ def l4_quadrature_oracle(f: TrigPolynomial) -> float:
     points = 2 * spread + 1
     if points > _QUADRATURE_POINT_LIMIT:
         raise InputError(f"frequency spread {spread} needs {points} quadrature points; too wide")
-    length = _smooth_length(min(points, max(_BLOCK, len(support))))
+    # the least power of two at or above the block: FFTs of these lengths are fast
+    length = 1 << (min(points, max(_BLOCK, len(support))) - 1).bit_length()
     cosets = -(-points // length)
     q = cosets * length
     offsets = np.array([n - base for n in support], dtype=np.int64)

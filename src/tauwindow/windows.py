@@ -20,15 +20,18 @@ one rule of arith._exact_dtype.  With workers > 1 a scan splits
 [window.lo, m_limit] into that many equal m-ranges, run one after another in
 this process; each returns only its histogram and first argmax, so merging
 adds histograms.  window_multiple_counts keeps the reverse sieve, one mark for
-every multiple of every window element, as the per-m oracle.
+every multiple of every window element, as the per-m oracle.  The scan, this
+sieve and the Ruzsa sieve build their marks by one stage, _multiples: the
+multiples in [m0, m1] of each step with cofactor in a range, as progressions.
 
 ruzsa_scan counts, for every N in [A, B], the divisors d of N in
 [sqrt(N), hi(N)], hi(N) = floor(sqrt(N) + N^(1/2 - eps)).  It has two routes.
 The sieve walks d instead of N: a divisor d has d >= sqrt(N) exactly when
 its cofactor q = N/d has q <= d, so d runs over [ceil(sqrt(A)), max hi(N)],
-q over [ceil(A/d), min(d, B/d)], and N = d*q counts d when d <= hi(N).  The
-counts are indexed by N - A = d*(q - ceil(A/d)) + (-A mod d), which is int64
-whenever B - A is, so ranges past 2^63 need no object route.  The per-N
+q over [ceil(A/d), min(d, B/d)], and N = d*q counts d when d <= hi(N): the
+_multiples of d in [A, B] with cofactor in [1, d].  The counts are indexed by
+N - A <= B - A, which is int64 whenever B - A is; past 2^63 only the d block
+and its first multiples are exact Python ints, as the marks are.  The per-N
 route calls tau_interval, which walks the narrower of N's window and its
 co-divisor range when it holds no more candidates than the trial divisions
 factorizing N would start with, and factorizes N otherwise.  Both read hi(N)
@@ -44,15 +47,15 @@ and the per-N route runs.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
-from .arith import MAX_VALUE, DivisorRange, InputError, divisors_in_range, _BLOCK, _count_divisors_in_range, _SMALL_PRIMES, _exact_dtype, _run_bounds, _split_range
+from .arith import MAX_VALUE, DivisorRange, InputError, divisors_in_range, _BLOCK, _count_divisors_in_range, _exact_dtype, _run_bounds, _split_range, _trial_divisions
 
 # perfbench/tracer.py saves and restores this name; it goes when the tracer stops patching it
 ProcessPoolExecutor = None
@@ -75,8 +78,7 @@ class WindowScanReport:
     histogram: dict[int, int]
 
 
-@dataclass(frozen=True)
-class RuzsaEntry:
+class RuzsaEntry(NamedTuple):
     n: int
     count: int
     running_max: int
@@ -126,6 +128,16 @@ def _blocks(
         yield rows, sizes, _progressions(head, step[rows], sizes)
 
 
+def _multiples(step: np.ndarray, y_lo, y_hi, m0: int, m1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """step*y in [m0, m1] with y in [y_lo, y_hi] (scalars or arrays aligned with
+    step), as progressions (first, step, count); steps with none are dropped."""
+    y_first = np.maximum(y_lo, -(-m0 // step))
+    y_count = np.minimum(y_hi, m1 // step) - y_first + 1
+    keep = y_count > 0
+    step = step[keep]
+    return step * y_first[keep], step, y_count[keep].astype(np.int64, copy=False)
+
+
 def _pair_lcm_marks(window: DivisorRange, m0: int, m1: int) -> np.ndarray:
     """Every multiple in [m0, m1] of lcm(d1, d2), once per pair d1 < d2 in the window; sorted.
 
@@ -165,25 +177,17 @@ def _pair_lcm_marks(window: DivisorRange, m0: int, m1: int) -> np.ndarray:
         y_lo, y_hi = np.where(swap, g_lo, j_lo), np.where(swap, g_hi, j_hi)
         return ab, x_lo, (x_hi - x_lo + 1).astype(np.int64), y_lo, y_hi
 
-    def multiples(step, y_lo, y_hi):
-        """step*y in [m0, m1] with y in [y_lo, y_hi], as progressions (first, step, count)."""
-        y_first = np.maximum(y_lo, -(-m0 // step))
-        y_count = np.minimum(y_hi, m1 // step) - y_first + 1
-        keep = y_count > 0
-        step = step[keep]
-        return step * y_first[keep], step, y_count[keep].astype(np.int64, copy=False)
-
     def mark_progressions():
-        """multiples() for one block of (a, b, x) at a time, x the expanded factor."""
-        one = np.ones(1, dtype=dtype)
-        for _, _, b in _blocks(np.array([b_lo], dtype=dtype), one, np.array([b_hi - b_lo + 1])):
+        """_multiples() for one block of (a, b, x) at a time, x the expanded factor."""
+        for start in range(b_lo, b_hi + 1, _BLOCK):
+            b = np.arange(start, min(start + _BLOCK, b_hi + 1), dtype=dtype)
             # every b >= b_lo has some a in [a_lo, b - 1]
             a_lo = -(-b * lo // hi)
             for rows, sizes, a in _blocks(a_lo, np.ones_like(a_lo), (b - a_lo).astype(np.int64)):
                 ab, x_lo, x_count, y_lo, y_hi = factor_ranges(a, np.repeat(b[rows], sizes))
                 for rows, sizes, x in _blocks(x_lo, np.ones_like(x_lo), x_count):
                     y_lo_x, y_hi_x = np.repeat(y_lo[rows], sizes), np.repeat(y_hi[rows], sizes)
-                    yield multiples(np.repeat(ab[rows], sizes) * x, y_lo_x, y_hi_x)
+                    yield _multiples(np.repeat(ab[rows], sizes) * x, y_lo_x, y_hi_x, m0, m1)
 
     marks = np.empty(sum(int(count.sum()) for _, _, count in mark_progressions()), dtype=dtype)
     pos = 0
@@ -244,8 +248,8 @@ def window_multiple_counts(window: DivisorRange | tuple[int, int], m_limit: int)
 
     The marks are the products d * q <= m_limit with d in the window and
     q >= 1: each value x of whichever factor has the shorter range gives one
-    progression x * y, y over the other range up to m_limit // x, and one
-    _progressions call expands them all.  Every x has at least one y.
+    progression of _multiples x * y, y over the other range, and one
+    _progressions call expands them all.
     """
     if not isinstance(window, DivisorRange):
         window = DivisorRange(*window)
@@ -253,8 +257,7 @@ def window_multiple_counts(window: DivisorRange | tuple[int, int], m_limit: int)
     q_axis = (1, m_limit // window.lo)
     (x_lo, x_hi), (y_lo, y_hi) = sorted((d_axis, q_axis), key=lambda r: r[1] - r[0])
     x = np.arange(x_lo, x_hi + 1, dtype=_exact_dtype(m_limit))
-    count = (np.minimum(y_hi, m_limit // x) - y_lo + 1).astype(np.int64)
-    marks = _progressions(x * y_lo, x, count)
+    marks = _progressions(*_multiples(x, y_lo, y_hi, 1, m_limit))
     marks.sort()
     bounds = _run_bounds(marks)
     # rebinding frees the full mark array before the counts are taken
@@ -311,14 +314,14 @@ def ruzsa_route(n_lo: int, n_hi: int, eps: float) -> str:
     d in [ceil(sqrt(n_lo)), hi(n_hi)], hi(N) = floor(sqrt(N) + N^(1/2 - eps));
     the per-N route counts through tau_interval, which factorizes N, starting
     with trial division by the primes up to min(4096, sqrt(N)),
-    pi(min(4096, sqrt(n_hi))) of them at the top, or walks N's divisor
+    arith._trial_divisions(n_hi) of them at the top, or walks N's divisor
     candidates when they are no more than those divisions.  So that count per
     N is an upper bound on the per-N route's trial work, and the sieve is
     taken when its steps are no more than it.
     """
     # math.isqrt(n - 1) + 1 is ceil(sqrt(n)) for n >= 1
     d_steps = _ruzsa_tops(n_hi, n_hi, eps)[0] - math.isqrt(n_lo - 1)
-    divisions = (n_hi - n_lo + 1) * bisect_right(_SMALL_PRIMES, math.isqrt(n_hi))
+    divisions = (n_hi - n_lo + 1) * _trial_divisions(n_hi)
     return "sieve" if d_steps <= divisions else "per-N"
 
 
@@ -344,11 +347,11 @@ def _ruzsa_sieve(n_lo: int, tops: list[int]) -> list[int]:
     """The counts of _ruzsa_per_n, from the products N = d*q of each d instead.
 
     d is a divisor of N with d >= ceil(sqrt(N)) exactly when its cofactor q
-    has q <= d, so d runs over [ceil(sqrt(n_lo)), max(tops)] and q over
-    [ceil(n_lo/d), min(d, n_hi // d)], and N counts d when d <= tops[N - n_lo].
-    N - n_lo = d*(q - q_lo) + (-n_lo mod d) is at most n_hi - n_lo, so the
-    index is int64 however large n_lo is; only the quotients of the
-    endpoints past 2^63 are taken in Python ints.  Each block of _BLOCK
+    has q <= d, so d runs over [ceil(sqrt(n_lo)), max(tops)], the products
+    are _multiples(d, 1, d, n_lo, n_hi), and N counts d when
+    d <= tops[N - n_lo].  N - n_lo is at most n_hi - n_lo, so the index is
+    int64 however large n_lo is; past 2^63 the d block is exact Python ints
+    until the first multiples are translated by n_lo.  Each block of _BLOCK
     values of d gives one progression of indices per d, expanded in blocks
     of _BLOCK entries.
     """
@@ -358,14 +361,11 @@ def _ruzsa_sieve(n_lo: int, tops: list[int]) -> list[int]:
     d_lo, d_hi = math.isqrt(n_lo - 1) + 1, int(top.max())
     hits = [np.empty(0, dtype=np.int64)]
     for start in range(d_lo, d_hi + 1, _BLOCK):
-        d = np.arange(start, min(start + _BLOCK, d_hi + 1), dtype=np.int64)
-        dx = d.astype(dtype, copy=False)
-        # the index of d*q_lo, the least multiple of d from n_lo
-        offset = ((-n_lo) % dx).astype(np.int64, copy=False)
-        q_lo = (n_lo // dx).astype(np.int64, copy=False) + (offset > 0)
-        q_count = np.minimum(d, (n_hi // dx).astype(np.int64, copy=False)) - q_lo + 1
-        keep = q_count > 0
-        d, offset, q_count = d[keep], offset[keep], q_count[keep]
+        d = np.arange(start, min(start + _BLOCK, d_hi + 1), dtype=dtype)
+        first, d, q_count = _multiples(d, 1, d, n_lo, n_hi)
+        # N - n_lo <= n_hi - n_lo and d <= max(tops) fit int64 whatever dtype N has
+        offset = (first - n_lo).astype(np.int64, copy=False)
+        d = d.astype(np.int64, copy=False)
         for rows, sizes, index in _blocks(offset, d, q_count):
             hits.append(index[top[index] >= np.repeat(d[rows], sizes)])
     return np.bincount(np.concatenate(hits), minlength=len(tops)).tolist()

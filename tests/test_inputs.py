@@ -21,6 +21,15 @@ WIDE = TrigPolynomial({0: 1, 1 << 30: 1})
 CASES = {
     "range_lo_lt_1": lambda: DivisorRange(0, 4),
     "range_lo_gt_hi": lambda: DivisorRange(5, 4),
+    "range_float_lo": lambda: DivisorRange(2.5, 7),
+    "range_float_hi": lambda: DivisorRange(2, 7.0),
+    "range_string": lambda: DivisorRange("2", 7),
+    "factorize_float": lambda: arith.factorize(12.0),
+    "factorize_string": lambda: arith.factorize("12"),
+    "divisors_float_range": lambda: arith.divisors_in_range(10**20, (1e10, 1e10 + 100)),
+    "divisors_float_n": lambda: arith.divisors_in_range(12.0, (2, 6)),
+    "tau_interval_float_range": lambda: windows.tau_interval(12, (1.5, 6)),
+    "tau_interval_float_m": lambda: windows.tau_interval(12.5, (2, 6)),
     "factorize_0": lambda: arith.factorize(0),
     "factorize_negative": lambda: arith.factorize(-12),
     "factorize_2_96": lambda: arith.factorize(MAX_VALUE),

@@ -482,7 +482,7 @@ class TestQuadratureInPlace:
         f = TrigPolynomial({n: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for n in freqs})
         support = f.support()
         # spreads up to 3000 need at most 6001 points: one coset
-        q = spectral._smooth_length(2 * (support[-1] - support[0]) + 1)
+        q = 1 << (2 * (support[-1] - support[0])).bit_length()
         buf = np.zeros(q, dtype=np.complex128)
         for n in support:
             buf[(n - support[0]) % q] += f.terms[n]
@@ -519,15 +519,15 @@ class TestQuadratureCosets:
         assert split == pytest.approx(l4_norm_4(f), rel=1e-12)
 
     def test_coset_count(self, monkeypatch):
-        # blocks of max(_BLOCK, |supp f|) points: the dense set range(20000)
-        # takes two cosets of 20000, a two-term polynomial of spread 10^5
-        # ceil(200001 / 8192) = 25 cosets of 8192
+        # blocks of max(_BLOCK, |supp f|) points rounded up to a power of two:
+        # the dense set range(20000) takes two cosets of 32768, a two-term
+        # polynomial of spread 10^5 ceil(200001 / 8192) = 25 cosets of 8192
         lengths = []
         ifft = np.fft.ifft
         monkeypatch.setattr(np.fft, "ifft", lambda buf: lengths.append(buf.size) or ifft(buf))
         n = 20000
         assert l4_quadrature_oracle(unit_polynomial(range(n))) == pytest.approx((2 * n**3 + n) / 3, rel=1e-12)
-        assert lengths == [n, n]
+        assert lengths == [32768, 32768]
         lengths.clear()
         assert l4_quadrature_oracle(TrigPolynomial({0: 1, 10**5: 1j})) == pytest.approx(6, rel=1e-12)
         assert lengths == [spectral._BLOCK] * 25

@@ -299,6 +299,63 @@ def _pairs_near(b, target, x, y, below, above):
     return window, g * b * (b - 1) - below, g * b * (b - 1) + above
 
 
+@st.composite
+def _multiples_cases(draw):
+    """(steps, y_lo, y_hi, m0, m1) for _multiples: int64 steps, or steps past 2^63
+    as an object array; y bounds as scalars or aligned arrays, some ranges empty;
+    m0 and m1 near the products, below them all or above them all."""
+    big = draw(st.booleans())
+    dtype = object if big else np.int64
+    s_lo, s_hi = (2**63, 2**63 + 2**20) if big else (1, 2**31)
+    steps = draw(st.lists(st.integers(s_lo, s_hi), max_size=12))
+    y_base = draw(st.integers(1, 2**20))
+
+    def y_range():
+        y_lo = draw(st.integers(y_base, y_base + 30))
+        # widths below zero leave the range empty
+        return y_lo, y_lo + draw(st.integers(-3, 30))
+
+    if draw(st.booleans()):
+        y_lo, y_hi = y_range()
+        ranges = [(y_lo, y_hi)] * len(steps)
+    else:
+        ranges = [y_range() for _ in steps]
+        y_lo = np.array([r[0] for r in ranges], dtype=dtype)
+        y_hi = np.array([r[1] for r in ranges], dtype=dtype)
+    products = [s * y for s, r in zip(steps, ranges) for y in r if y > 0] or [1]
+    top = max(products)
+    m0 = draw(st.one_of(st.just(1), st.sampled_from(products), st.integers(1, top + 1)))
+    m0 = max(1, m0 + draw(st.integers(-1, 1)))
+    if draw(st.booleans()):
+        # above every multiple
+        m0 = top + 1 + draw(st.integers(0, 3))
+    m1 = draw(st.one_of(st.sampled_from(products), st.integers(m0, max(m0, 2 * top + 1))))
+    m1 += draw(st.integers(-1, 1))
+    return np.array(steps, dtype=dtype), y_lo, y_hi, ranges, m0, m1
+
+
+class TestMultiplesStage:
+    @settings(max_examples=200, deadline=None)
+    @given(_multiples_cases())
+    def test_progressions_list_every_multiple_in_range(self, case):
+        steps, y_lo, y_hi, ranges, m0, m1 = case
+        first, step, count = windows._multiples(steps, y_lo, y_hi, m0, m1)
+        expected = [
+            (s, [s * y for y in range(lo, hi + 1) if m0 <= s * y <= m1])
+            for s, (lo, hi) in zip(steps.tolist(), ranges)
+        ]
+        kept = [(s, row) for s, row in expected if row]
+        # exactly the steps with a multiple are kept, in order, each with count >= 1
+        assert step.dtype == steps.dtype
+        assert step.tolist() == [s for s, _ in kept]
+        assert count.dtype == np.int64
+        assert (count >= 1).all()
+        values = windows._progressions(first, step, count).tolist()
+        ends = np.cumsum(count).tolist()
+        rows = [values[end - c : end] for end, c in zip(ends, count.tolist())]
+        assert rows == [row for _, row in kept]
+
+
 class TestPairLcmKernel:
     @settings(max_examples=60, deadline=None)
     @given(_kernel_ranges(), st.sampled_from([1, 2, 7]))
