@@ -418,11 +418,12 @@ def _count_divisors_in_range(n: int, rng: DivisorRange | tuple[int, int]) -> int
     return sum(j - i for _, i, j in _divisor_spans(n, lo, hi)[1])
 
 
-# entries per numpy block of the blocked kernels (the pair-lcm scan, the Ruzsa
-# sieve, the Sidon-window difference rows, the quadrature's cosets; spectral's
-# pair kernel, and so is_sidon's energy and witness, takes 8 * _BLOCK pairs):
-# their working memory beside their output and, for the Sidon rows, beside the
-# per-run coefficient rows
+# entries per numpy block of the blocked kernels (the pair-lcm scan and its run
+# summary, the Ruzsa sieve, the Sidon-window difference rows, the quadrature's
+# cosets; spectral's pair kernel, and so is_sidon's energy and witness, takes
+# 8 * _BLOCK pairs): their working memory beside their output and, for the
+# Sidon rows, beside the per-run coefficient rows.  The scan's output is its
+# mark array, one _key_dtype offset per mark
 _BLOCK = 1 << 13
 
 
@@ -430,6 +431,16 @@ def _exact_dtype(largest: int) -> type:
     """Dtype of an exact integer array with no entry above largest in absolute
     value: int64 below 2^63, exact Python ints (object) from 2^63 on."""
     return np.int64 if largest < 1 << 63 else object
+
+
+def _key_dtype(span: int) -> type:
+    """Dtype of the sorted or counted keys of one range: offsets 0..span from its
+    start, uint32 below 2^32 and _exact_dtype(span) from 2^32 on.
+
+    A key is a value minus its range's start, so it is narrower than the value
+    whenever the range is shorter, and narrower keys sort faster.
+    """
+    return np.uint32 if span < 1 << 32 else _exact_dtype(span)
 
 
 def _split_range(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:

@@ -13,7 +13,9 @@ what E(A) does.
 Differences do not change under translation, so the blocks are built in int64
 on the support minus its minimum; the same numpy code runs on exact Python
 ints (object arrays) only when the spread max - min reaches 2^63, the rule of
-arith._exact_dtype.
+arith._exact_dtype.  Each block's differences lie in one range (d0, d1], so
+they are sorted as keys diff - d0 - 1 in arith._key_dtype(d1 - d0 - 1):
+uint32 for blocks narrower than 2^32 and int64 ones below 2^63, on any spread.
 
 Counting is exact integer work; norms are floating point.  The L4 norm has two
 independent routes: the autocorrelation identity ||f||_4^4 = sum |c_m|^2 and an
@@ -32,7 +34,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .arith import InputError, _BLOCK, _exact_dtype, _integer, _run_bounds
+from .arith import InputError, _BLOCK, _exact_dtype, _integer, _key_dtype, _run_bounds
 
 _QUADRATURE_POINT_LIMIT = 1 << 26
 
@@ -106,7 +108,10 @@ def _difference_blocks(a: tuple[int, ...], weights=None) -> Iterator[tuple[np.nd
     aligned to a, sums[k] adds w_y * conj(w_x) over those pairs, and without
     weights sums is None.  Concatenating the blocks gives the whole table.
     Weights that all equal 1 take the unweighted sort: every product is 1, so
-    the sums are the pair counts, exact in complex128 below 2^53.
+    the sums are the pair counts, exact in complex128 below 2^53.  A block
+    sorts its differences as keys diff - d0 - 1 in _key_dtype(d1 - d0 - 1)
+    when that is narrower than the support's dtype; a wider block sorts the
+    differences themselves.  The differences are yielded in the support's dtype.
     """
     n = len(a)
     spread = a[-1] - a[0]
@@ -143,21 +148,31 @@ def _difference_blocks(a: tuple[int, ...], weights=None) -> Iterator[tuple[np.nd
         width = max(1, (d1 - d0) * _PAIR_BLOCK // pairs)
         # row y's columns lo[y] .. hi[y] - 1, laid out row after row
         cols = np.arange(pairs) + np.repeat(lo - (np.cumsum(per_row) - per_row), per_row)
-        diffs = np.repeat(arr, per_row) - arr[cols]
+        keys = np.repeat(arr, per_row)
+        keys -= arr[cols]
+        # every difference lies in (d0, d1]: a narrower block keys it by its offset
+        key = np.dtype(_key_dtype(d1 - d0 - 1))
+        narrow = key != arr.dtype
+        if narrow:
+            keys -= d0 + 1
+            keys = keys.astype(key)
         if w is None:
-            diffs.sort()
+            keys.sort()
         else:
             prods = np.repeat(w, per_row) * w_conj[cols]
-            order = diffs.argsort(kind="stable")
-            diffs, prods = diffs[order], prods[order]
-        bounds = _run_bounds(diffs)
+            order = keys.argsort(kind="stable")
+            keys, prods = keys[order], prods[order]
+        bounds = _run_bounds(keys)
         starts = bounds[:-1]
         counts = np.diff(bounds)
         if w is not None:
             sums = np.add.reduceat(prods, starts)
         else:
             sums = None if weights is None else counts.astype(np.complex128)
-        yield diffs[starts], counts, sums
+        diffs = keys[starts]
+        if narrow:
+            diffs = diffs.astype(arr.dtype) + (d0 + 1)
+        yield diffs, counts, sums
         d0, hi = d1, lo
 
 

@@ -9,20 +9,25 @@ tau >= 2; the m with tau = 1 are what is left of sum_d floor(m_limit / d),
 which is summed over blocks of equal quotient.  The cost is
 sum_m C(tau(m), 2) multiples plus the pairs that produce them, enumerated in
 numpy blocks of _BLOCK entries however large the window endpoints are; the
-memory is one mark array of exact size plus one block.  Square scans use the
-window [2N, 2N+2k] with m <= 3Nk, cube scans [3N^2, 3N^2+9Nk] with
+memory is one mark array of exact size plus one block, while the marks are
+made and while their runs are summed.  Square scans use the window
+[2N, 2N+2k] with m <= 3Nk, cube scans [3N^2, 3N^2+9Nk] with
 m <= 7N^2*k: these are exactly the window/limit pairs produced by factoring
 differences of adjacent squares and cubes, so per-m counts bound the
 representation functions of those sets.  Two divisors of a square window have
 gcd <= 2k, so their lcm is at least 2N^2/k and a scan with 3k^2 < 2N has no
-pairs at all.  Marks are int64 below 2^63 and exact Python ints beyond, the
-one rule of arith._exact_dtype.  With workers > 1 a scan splits
+pairs at all.  A mark m in [m0, m1] is stored as its offset m - m0, in the
+one rule of arith._key_dtype: uint32 when m1 - m0 < 2^32, int64 when
+m1 - m0 < 2^63 however large m1 is, and exact Python ints beyond; the levels
+above the marks take arith._exact_dtype(m1).  With workers > 1 a scan splits
 [window.lo, m_limit] into that many equal m-ranges, run one after another in
-this process; each returns only its histogram and first argmax, so merging
-adds histograms.  window_multiple_counts keeps the reverse sieve, one mark for
-every multiple of every window element, as the per-m oracle.  The scan, this
-sieve and the Ruzsa sieve build their marks by one stage, _multiples: the
-multiples in [m0, m1] of each step with cofactor in a range, as progressions.
+this process, each with its own m0, so more parts take narrower keys; each
+returns only its histogram and first argmax, so merging adds histograms.
+window_multiple_counts keeps the reverse sieve, one mark for every multiple
+of every window element, as the per-m oracle.  The scan, this sieve and the
+Ruzsa sieve build their marks by one stage, _multiples: the multiples in
+[m0, m1] of each step with cofactor in a range, as progressions, which
+_offsets turns into progressions of _key_dtype(m1 - m0) keys.
 
 ruzsa_scan counts, for every N in [A, B], the divisors d of N in
 [sqrt(N), hi(N)], hi(N) = floor(sqrt(N) + N^(1/2 - eps)).  It has two routes.
@@ -30,8 +35,8 @@ The sieve walks d instead of N: a divisor d has d >= sqrt(N) exactly when
 its cofactor q = N/d has q <= d, so d runs over [ceil(sqrt(A)), max hi(N)],
 q over [ceil(A/d), min(d, B/d)], and N = d*q counts d when d <= hi(N): the
 _multiples of d in [A, B] with cofactor in [1, d].  The counts are indexed by
-N - A <= B - A, which is int64 whenever B - A is; past 2^63 only the d block
-and its first multiples are exact Python ints, as the marks are.  The per-N
+N - A <= B - A, in the same arith._key_dtype(B - A) as the scan's marks; past
+2^63 only the d block and its first multiples are exact Python ints.  The per-N
 route calls tau_interval, which walks the narrower of N's window and its
 co-divisor range when it holds no more candidates than the trial divisions
 factorizing N would start with, and factorizes N otherwise.  Both read hi(N)
@@ -55,7 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import MAX_VALUE, DivisorRange, InputError, divisors_in_range, _BLOCK, _count_divisors_in_range, _exact_dtype, _run_bounds, _split_range, _trial_divisions
+from .arith import MAX_VALUE, DivisorRange, InputError, divisors_in_range, _BLOCK, _count_divisors_in_range, _exact_dtype, _key_dtype, _run_bounds, _split_range, _trial_divisions
 
 # perfbench/tracer.py saves and restores this name; it goes when the tracer stops patching it
 ProcessPoolExecutor = None
@@ -94,11 +99,13 @@ def _progressions(first: np.ndarray, step: np.ndarray, count: np.ndarray) -> np.
 
     One cumsum over the repeated steps builds every run at once: each run's
     first entry is reset to its start minus the previous run's last value.
+    Everything stays in the dtype of first and step, so on uint32 keys those
+    resets wrap and the sums come back exact.
     """
     out = np.repeat(step, count)
     starts = np.cumsum(count) - count
     out[starts] = first
-    out[starts[1:]] -= (first + step * (count - 1))[:-1]
+    out[starts[1:]] -= (first + step * (count - 1).astype(step.dtype, copy=False))[:-1]
     return np.cumsum(out, out=out)
 
 
@@ -138,6 +145,16 @@ def _multiples(step: np.ndarray, y_lo, y_hi, m0: int, m1: int) -> tuple[np.ndarr
     return step * y_first[keep], step, y_count[keep].astype(np.int64, copy=False)
 
 
+def _offsets(first: np.ndarray, step: np.ndarray, count: np.ndarray, m0: int, key: type) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Progressions of values in [m0, m1] as progressions of their offsets from m0, in key.
+
+    Every offset, and every step of a progression with two or more values, is
+    at most m1 - m0, so key = _key_dtype(m1 - m0) holds them; a progression
+    with one value never adds its step, which may be larger, so it is stored as 0.
+    """
+    return (first - m0).astype(key, copy=False), np.where(count > 1, step, 0).astype(key, copy=False), count
+
+
 def _pair_lcm_marks(window: DivisorRange, m0: int, m1: int) -> np.ndarray:
     """Every multiple in [m0, m1] of lcm(d1, d2), once per pair d1 < d2 in the window; sorted.
 
@@ -149,13 +166,16 @@ def _pair_lcm_marks(window: DivisorRange, m0: int, m1: int) -> np.ndarray:
     is expanded, and each of its values gives one progression in the other.
     Every level (b, a per b, that factor per (a, b), the marks) is expanded
     in blocks of _BLOCK entries; a first pass counts the marks, so a second
-    fills one array of exact size.
+    fills one array of exact size.  The marks are returned as offsets m - m0
+    in _key_dtype(m1 - m0): uint32 for a range shorter than 2^32 and int64
+    for one shorter than 2^63, however large m1 is.  The levels above them
+    take _exact_dtype(m1).
     """
-    dtype = _exact_dtype(m1)
+    dtype, key = _exact_dtype(m1), _key_dtype(m1 - m0)
     lo, hi = window.lo, window.hi
     b_lo, b_hi = -(-hi // (hi - lo)), m1 // lo
     if b_lo > b_hi:
-        return np.empty(0, dtype=dtype)
+        return np.empty(0, dtype=key)
 
     def factor_ranges(a, b):
         """a*b for each coprime a < b with marks, the shorter of its g and j
@@ -189,10 +209,10 @@ def _pair_lcm_marks(window: DivisorRange, m0: int, m1: int) -> np.ndarray:
                     y_lo_x, y_hi_x = np.repeat(y_lo[rows], sizes), np.repeat(y_hi[rows], sizes)
                     yield _multiples(np.repeat(ab[rows], sizes) * x, y_lo_x, y_hi_x, m0, m1)
 
-    marks = np.empty(sum(int(count.sum()) for _, _, count in mark_progressions()), dtype=dtype)
+    marks = np.empty(sum(int(count.sum()) for _, _, count in mark_progressions()), dtype=key)
     pos = 0
-    for first, step, count in mark_progressions():
-        for _, _, values in _blocks(first, step, count):
+    for progressions in mark_progressions():
+        for _, _, values in _blocks(*_offsets(*progressions, m0, key)):
             marks[pos : pos + values.size] = values
             pos += values.size
     marks.sort()
@@ -218,14 +238,27 @@ def _range_summary(window: DivisorRange, m0: int, m1: int) -> tuple[dict[int, in
     of the range's divisor incidences sum_d #{m in [m0, m1] : d | m}.  With
     no pairs the first maximum is reported as window.lo: only the first
     range contains it, and the merge takes the first range of greatest tau.
+    The sorted mark offsets are read in blocks of about _BLOCK entries, each
+    ended where the run of its last entry ends, so no run is split and the
+    memory beside the marks is one block.
     """
     marks = _pair_lcm_marks(window, m0, m1)
-    # the hit counts overwrite the run bounds, so no third mark-sized array is made
-    hits = _run_bounds(marks)
-    np.subtract(hits[1:], hits[:-1], out=hits[:-1])
-    hits = hits[:-1]
+    # tally[c]: the m hit by c pairs
+    tally, most, first_max = np.zeros(1, dtype=np.int64), 0, None
+    start = 0
+    while start < marks.size:
+        stop = int(np.searchsorted(marks, marks[min(start + _BLOCK, marks.size) - 1], side="right"))
+        bounds = _run_bounds(marks[start:stop])
+        hits = np.diff(bounds)
+        counts = np.bincount(hits, minlength=tally.size)
+        counts[: tally.size] += tally
+        tally = counts
+        i = int(hits.argmax())
+        if hits[i] > most:
+            most, first_max = int(hits[i]), m0 + int(marks[start + bounds[i]])
+        start = stop
     tau_counts = {}
-    for c, number in enumerate(np.bincount(hits).tolist()):
+    for c, number in enumerate(tally.tolist()):
         if c and number:
             t = (1 + math.isqrt(1 + 8 * c)) // 2
             if t * (t - 1) != 2 * c:
@@ -237,9 +270,8 @@ def _range_summary(window: DivisorRange, m0: int, m1: int) -> tuple[dict[int, in
     singles = incidences - sum(t * number for t, number in tau_counts.items())
     if singles:
         tau_counts[1] = singles
-    if hits.size:
-        # the first run of greatest count starts after all the hits before it
-        return tau_counts, int(marks[hits[: hits.argmax()].sum()])
+    if first_max is not None:
+        return tau_counts, first_max
     return tau_counts, window.lo if singles else None
 
 
@@ -249,19 +281,21 @@ def window_multiple_counts(window: DivisorRange | tuple[int, int], m_limit: int)
     The marks are the products d * q <= m_limit with d in the window and
     q >= 1: each value x of whichever factor has the shorter range gives one
     progression of _multiples x * y, y over the other range, and one
-    _progressions call expands them all.
+    _progressions call expands them all, as offsets m - 1 in
+    _key_dtype(m_limit - 1).
     """
     if not isinstance(window, DivisorRange):
         window = DivisorRange(*window)
     d_axis = (window.lo, min(window.hi, m_limit))
     q_axis = (1, m_limit // window.lo)
     (x_lo, x_hi), (y_lo, y_hi) = sorted((d_axis, q_axis), key=lambda r: r[1] - r[0])
-    x = np.arange(x_lo, x_hi + 1, dtype=_exact_dtype(m_limit))
-    marks = _progressions(*_multiples(x, y_lo, y_hi, 1, m_limit))
+    dtype = _exact_dtype(m_limit)
+    x = np.arange(x_lo, x_hi + 1, dtype=dtype)
+    marks = _progressions(*_offsets(*_multiples(x, y_lo, y_hi, 1, m_limit), 1, _key_dtype(m_limit - 1)))
     marks.sort()
     bounds = _run_bounds(marks)
     # rebinding frees the full mark array before the counts are taken
-    marks = marks[bounds[:-1]]
+    marks = marks[bounds[:-1]].astype(dtype) + 1
     return dict(zip(marks.tolist(), np.diff(bounds).tolist()))
 
 
@@ -349,24 +383,23 @@ def _ruzsa_sieve(n_lo: int, tops: list[int]) -> list[int]:
     d is a divisor of N with d >= ceil(sqrt(N)) exactly when its cofactor q
     has q <= d, so d runs over [ceil(sqrt(n_lo)), max(tops)], the products
     are _multiples(d, 1, d, n_lo, n_hi), and N counts d when
-    d <= tops[N - n_lo].  N - n_lo is at most n_hi - n_lo, so the index is
-    int64 however large n_lo is; past 2^63 the d block is exact Python ints
-    until the first multiples are translated by n_lo.  Each block of _BLOCK
-    values of d gives one progression of indices per d, expanded in blocks
-    of _BLOCK entries.
+    d <= tops[N - n_lo].  The index N - n_lo is an _offsets key in
+    _key_dtype(n_hi - n_lo), uint32 for ranges shorter than 2^32 however
+    large n_lo is; past 2^63 the d block is exact Python ints until the first
+    multiples are translated by n_lo.  Each block of _BLOCK values of d gives
+    one progression of indices per d, expanded in blocks of _BLOCK entries.
     """
     n_hi = n_lo + len(tops) - 1
     top = np.array(tops, dtype=np.int64)
-    dtype = _exact_dtype(n_hi)
+    dtype, key = _exact_dtype(n_hi), _key_dtype(n_hi - n_lo)
     d_lo, d_hi = math.isqrt(n_lo - 1) + 1, int(top.max())
-    hits = [np.empty(0, dtype=np.int64)]
+    hits = [np.empty(0, dtype=key)]
     for start in range(d_lo, d_hi + 1, _BLOCK):
         d = np.arange(start, min(start + _BLOCK, d_hi + 1), dtype=dtype)
-        first, d, q_count = _multiples(d, 1, d, n_lo, n_hi)
-        # N - n_lo <= n_hi - n_lo and d <= max(tops) fit int64 whatever dtype N has
-        offset = (first - n_lo).astype(np.int64, copy=False)
-        d = d.astype(np.int64, copy=False)
-        for rows, sizes, index in _blocks(offset, d, q_count):
+        progressions = _multiples(d, 1, d, n_lo, n_hi)
+        # d <= max(tops) fits int64 whatever dtype N has
+        d = progressions[1].astype(np.int64, copy=False)
+        for rows, sizes, index in _blocks(*_offsets(*progressions, n_lo, key)):
             hits.append(index[top[index] >= np.repeat(d[rows], sizes)])
     return np.bincount(np.concatenate(hits), minlength=len(tops)).tolist()
 

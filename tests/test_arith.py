@@ -19,6 +19,7 @@ from tauwindow.arith import (
     _divisor_spans,
     _exact_dtype,
     _iroot,
+    _key_dtype,
     _narrower_side,
     _split_range,
     divisors_in_range,
@@ -489,3 +490,8 @@ class TestExactDtype:
     def test_int64_up_to_2_63_minus_1(self):
         assert _exact_dtype(2**63 - 1) is np.int64
         assert _exact_dtype(2**63) is object
+
+    def test_keys_take_uint32_below_2_32_then_the_exact_rule(self):
+        assert _key_dtype(0) is _key_dtype(2**32 - 1) is np.uint32
+        assert _key_dtype(2**32) is _key_dtype(2**63 - 1) is np.int64
+        assert _key_dtype(2**63) is object

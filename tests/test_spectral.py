@@ -394,6 +394,13 @@ class TestDifferenceBlocks:
     @example([0, 2**63], 7, 0)
     @example(list(range(30)), 7, 0)
     @example([3 * 2**62 * i for i in range(20)], 1, 0)
+    # elements 2^31 to 2^33 apart: blocks of 1 pair take uint32 keys, of 7 int64 ones
+    @example([(i * i) << 31 for i in range(1, 9)], 1, 0)
+    @example([(i * i) << 31 for i in range(1, 9)], 7, 0)
+    # spreads past 2^63 with blocks narrower than 2^32 and than 2^63
+    @example([0, 2**34, 2**35 + 1, 2**64, 2**64 + 2**33, 2**65], 1, 0)
+    @example([0, 2**34, 2**35 + 1, 2**64, 2**64 + 2**33, 2**65], 7, 0)
+    @example([2**70 * (i % 2) + (i << 31) for i in range(10)], 7, 0)
     def test_blocks_match_the_whole_table(self, a, block, seed):
         a = tuple(sorted(a))
         rng = random.Random(seed)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tauwindow import windows
-from tauwindow.arith import DivisorRange
+from tauwindow.arith import DivisorRange, _key_dtype
 from tauwindow.spectral import l2_norm_sq, l4_norm_4, representation_counts, TrigPolynomial
 from tauwindow.windows import (
     RuzsaEntry,
@@ -87,6 +87,21 @@ def pair_lcm_marks_by_b(window, m0, m1):
     marks = np.concatenate(parts)
     marks.sort()
     return marks
+
+
+def whole_range_summary(window, m0, m1):
+    """_range_summary's histogram and first argmax, from np.unique over all the
+    pair-lcm marks of pair_lcm_marks_by_b at once."""
+    values, hits = np.unique(pair_lcm_marks_by_b(window, m0, m1), return_counts=True)
+    # an m with t window divisors is hit C(t, 2) times
+    taus = [(1 + math.isqrt(1 + 8 * c)) // 2 for c in hits.tolist()]
+    histogram = Counter(taus)
+    singles = mark_count(window.lo, window.hi, m1) - mark_count(window.lo, window.hi, m0 - 1) - sum(taus)
+    if singles:
+        histogram[1] = singles
+    if taus:
+        return dict(histogram), values.tolist()[taus.index(max(taus))]
+    return dict(histogram), window.lo if singles else None
 
 
 def tau_by_cofactor(m, lo, hi):
@@ -369,9 +384,36 @@ class TestPairLcmKernel:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(windows, "_BLOCK", block)
             marks = _pair_lcm_marks(window, m0, m1)
-        expected = pair_lcm_marks_by_b(window, m0, m1)
-        assert marks.dtype == expected.dtype
-        assert marks.tolist() == expected.tolist()
+        # the kernel returns the offsets m - m0 in the key dtype of the range
+        assert marks.dtype == _key_dtype(m1 - m0)
+        assert [m0 + m for m in marks.tolist()] == pair_lcm_marks_by_b(window, m0, m1).tolist()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(3, 60),
+        st.integers(2**63 + 2**41, 2**66),
+        st.integers(0, 200),
+        st.integers(0, 200),
+        st.one_of(st.integers(0, 2**31 - 1), st.integers(2**32, 2**40)),
+        st.integers(0, 2**31 - 1),
+        st.sampled_from([1, 7, windows._BLOCK]),
+    )
+    @example(40, 2**63 + 2**41, 7, 9, 5000, 5000, 7)
+    @example(3, 2**63 + 2**41, 0, 0, 2**32 - 1, 0, 1)
+    @example(3, 2**63 + 2**41, 0, 0, 2**32 - 1, 1, 1)
+    @example(60, 2**66, 200, 200, 2**40, 2**31 - 1, 7)
+    def test_offsets_past_2_63_at_both_key_widths(self, b, target, x, y, below, above, block):
+        # m0 > 2^63, so the levels are exact Python ints, while the marks are
+        # uint32 offsets for m1 - m0 < 2^32 and int64 ones up to 2^41
+        window, m0, m1 = _pairs_near(b, target, x, y, below, above)
+        assert m0 > 2**63
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(windows, "_BLOCK", block)
+            marks = _pair_lcm_marks(window, m0, m1)
+        assert marks.dtype == (np.uint32 if m1 - m0 < 2**32 else np.int64)
+        expected = pair_lcm_marks_by_b(window, m0, m1).tolist()
+        assert expected
+        assert [m0 + m for m in marks.tolist()] == expected
 
     def test_memory_is_the_marks_plus_one_block(self):
         # the window and m-range of square_window_scan(10**5, 3000)
@@ -384,6 +426,41 @@ class TestPairLcmKernel:
             tracemalloc.stop()
         assert marks.size == 982014
         assert peak <= marks.nbytes + 2 * 2**20
+
+    def test_whole_scan_memory_is_the_marks_plus_one_block(self, monkeypatch):
+        # the README's memory sentence, for the scan's run summary too
+        made = []
+
+        def record(*args, real=windows._pair_lcm_marks):
+            marks = real(*args)
+            made.append((marks.dtype, marks.size))
+            return marks
+
+        monkeypatch.setattr(windows, "_pair_lcm_marks", record)
+        tracemalloc.start()
+        try:
+            rep = square_window_scan(10**5, 3000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert made == [(np.uint32, 982014)]
+        assert rep.max_tau == max(rep.histogram)
+        assert peak <= 982014 * 4 + 2 * 2**20
+
+
+class TestRangeSummary:
+    @settings(max_examples=60, deadline=None)
+    @given(_kernel_ranges(), st.sampled_from([1, 7]))
+    @example((DivisorRange(200, 260), 200, 9000), 1)
+    @example((DivisorRange(4800, 6240), 4800, 44800), 7)
+    @example(_pairs_near(40, 2**63 + 2**40, 7, 9, 5000, 5000), 7)
+    def test_blocks_match_the_whole_array(self, case, block):
+        # blocks of 1 and 7 marks end inside or at the edge of most runs
+        window, m0, m1 = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(windows, "_BLOCK", block)
+            summary = _range_summary(window, m0, m1)
+        assert summary == whole_range_summary(window, m0, m1)
 
 
 class TestPairFreeWindows:
