@@ -216,24 +216,23 @@ def is_prime(n: int) -> bool:
 
 
 def _iroot(x: int, e: int) -> int:
-    """Floor of the e-th root for e >= 2, exactly."""
+    """Floor of the e-th root for e >= 2, exactly, with no float on any x.
+
+    The start 2^ceil(bits/e) is above the root.  By the AM-GM inequality an
+    integer Newton step ((e - 1) r + x // r^(e - 1)) // e never goes below the
+    floor root, and from any r above it the step decreases strictly; so the
+    steps stop exactly on the floor root, and no correction is needed.
+    """
     if e == 2:
         return math.isqrt(x)
     if x < 2:
         return x
-    # 2^ceil(bits/e) is above the root, and integer Newton steps from above
-    # decrease to the floor of the root, with no float on any x
     r = 1 << -(-x.bit_length() // e)
     while True:
         s = ((e - 1) * r + x // r ** (e - 1)) // e
         if s >= r:
-            break
+            return r
         r = s
-    while r > 1 and r**e > x:
-        r -= 1
-    while (r + 1) ** e <= x:
-        r += 1
-    return r
 
 
 def _perfect_power(x: int) -> tuple[int, int]:

@@ -1,6 +1,10 @@
 """Command-line front end: one subcommand per experiment, CSV or JSON reports.
 
-Reports go to stdout (or --out); progress and summaries go to stderr.  With a
+Every handler returns its rows as plain tuples in column order.  CSV reports
+write the header and then one line per row; JSON reports are one document
+whose rows carry the columns as keys, in the same order.  Reports go to stdout
+(or --out, opened only once the handler has returned, so a refused or failed
+run leaves no report file); progress and summaries go to stderr.  With a
 fixed configuration the report bytes are identical run to run.  CSV reports
 are also identical for any --workers value; JSON reports differ only in the
 workers value that their parameters echo.  Exit status is 0 on success, 1
@@ -18,16 +22,21 @@ is checked before the first energy is computed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 from fractions import Fraction
+from itertools import chain
 from typing import Any, Sequence
 
 from . import exponents, lcmbound, sidon, spectral, windows
 from .arith import InputError
 
 _CSV_JOIN = "|"
+
+# a handler's (columns, rows in column order, parameters, exit status)
+_Report = tuple[list[str], Sequence[tuple], dict[str, Any], int]
 
 
 def _cell(value: Any) -> str:
@@ -52,44 +61,41 @@ def _emit(
     command: str,
     params: dict[str, Any],
     columns: list[str],
-    rows: list[dict[str, Any]],
+    rows: Sequence[tuple],
     fmt: str,
     out: str | None,
 ) -> None:
     if fmt == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join(_cell(row[col]) for col in columns) for row in rows]
-        text = "\n".join(lines) + "\n"
+        lines = chain([",".join(columns)], (",".join(map(_cell, row)) for row in rows))
     else:
         doc = {
             "command": command,
             "parameters": {k: _jsonable(v) for k, v in params.items()},
-            "rows": [{k: _jsonable(v) for k, v in row.items()} for row in rows],
+            "rows": [dict(zip(columns, map(_jsonable, row))) for row in rows],
         }
-        text = json.dumps(doc, indent=2) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        lines = [json.dumps(doc, indent=2)]
+    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.writelines(line + "\n" for line in lines)
 
 
 def _diag(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _cmd_energy(args: argparse.Namespace) -> tuple[list[str], list[dict], dict, int]:
+def _cmd_energy(args: argparse.Namespace) -> _Report:
     prefix = args.k is None
     if prefix:
         if min(args.n) < 2:
             raise InputError("energy requires --n >= 2 (the n^2 log n scale at n=1 is 0)")
         spans = [(1, n - 1) for n in args.n]
+        columns = ["n", "size", "energy", "trivial_energy", "energy_over_n2_logn"]
     elif len(args.n) != 1:
         raise InputError("energy with --k takes exactly one --n")
     elif not 1 <= args.k <= args.n[0]:
         raise InputError("energy requires 1 <= k <= n when --k is given")
     else:
         spans = [(args.n[0], args.k)]
+        columns = ["n", "k", "size", "energy", "trivial_energy"]
     rows = []
     status = 0
     for base, k in spans:
@@ -99,68 +105,40 @@ def _cmd_energy(args: argparse.Namespace) -> tuple[list[str], list[dict], dict, 
             status = 1
         if prefix:
             n = k + 1
-            ratio = e / (n * n * math.log(n))
-            rows.append({"n": n, "size": n, "energy": e, "trivial_energy": triv, "energy_over_n2_logn": ratio})
+            rows.append((n, n, e, triv, e / (n * n * math.log(n))))
         else:
-            rows.append({"n": base, "k": k, "size": k + 1, "energy": e, "trivial_energy": triv})
-    # the columns are the row fields, in order
-    return list(rows[0]), rows, {"n": args.n, "k": args.k}, status
+            rows.append((base, k, k + 1, e, triv))
+    return columns, rows, {"n": args.n, "k": args.k}, status
 
 
-def _scan_rows(report: windows.WindowScanReport) -> list[dict]:
-    base = {
-        "n": report.n,
-        "k": report.k,
-        "window_lo": report.window.lo,
-        "window_hi": report.window.hi,
-        "m_limit": report.m_limit,
-        "max_tau": report.max_tau,
-        "argmax_m": report.argmax_m,
-    }
-    return [dict(base, tau=t, count=report.histogram[t]) for t in sorted(report.histogram)]
-
-
-_SCAN_COLUMNS = ["n", "k", "window_lo", "window_hi", "m_limit", "max_tau", "argmax_m", "tau", "count"]
-
-
-def _cmd_scan(args: argparse.Namespace, kind: str) -> tuple[list[str], list[dict], dict, int]:
+def _cmd_scan(args: argparse.Namespace, kind: str) -> _Report:
     scan = windows.square_window_scan if kind == "square" else windows.cube_window_scan
     report = scan(args.n, args.k, workers=args.workers)
     _diag(f"scan-{kind}s n={args.n} k={args.k}: max_tau={report.max_tau} argmax_m={report.argmax_m}")
-    params = {"n": args.n, "k": args.k, "workers": args.workers}
-    return _SCAN_COLUMNS, _scan_rows(report), params, 0
+    columns = ["n", "k", "window_lo", "window_hi", "m_limit", "max_tau", "argmax_m", "tau", "count"]
+    head = (report.n, report.k, report.window.lo, report.window.hi, report.m_limit, report.max_tau, report.argmax_m)
+    rows = [(*head, t, report.histogram[t]) for t in sorted(report.histogram)]
+    return columns, rows, {"n": args.n, "k": args.k, "workers": args.workers}, 0
 
 
-def _cmd_ruzsa(args: argparse.Namespace) -> tuple[list[str], list[dict], dict, int]:
+def _cmd_ruzsa(args: argparse.Namespace) -> _Report:
     entries = windows.ruzsa_scan(args.n_lo, args.n_hi, args.eps)
-    rows = [e._asdict() for e in entries]
     route = windows.ruzsa_route(args.n_lo, args.n_hi, args.eps)
     _diag(f"ruzsa [{args.n_lo},{args.n_hi}] eps={args.eps}: max count={entries[-1].running_max} route={route}")
     params = {"from": args.n_lo, "to": args.n_hi, "eps": args.eps}
-    return ["n", "count", "running_max"], rows, params, 0
-
-
-def _certificate_rows(cert: lcmbound.LcmBoundCertificate) -> list[dict]:
-    inst = cert.instance
-    base = {
-        "r": inst.r,
-        "s": inst.s,
-        "d": inst.d,
-        "holds": cert.holds,
-        "equality": cert.equality,
-    }
-    if not cert.per_prime:
-        return [dict(base, p=None, exponents=None, lhs=None, rhs=None, prime_tight=None)]
-    return [
-        dict(base, p=row.p, exponents=row.exponents, lhs=row.lhs, rhs=row.rhs, prime_tight=row.tight)
-        for row in cert.per_prime
-    ]
+    return ["n", "count", "running_max"], entries, params, 0
 
 
 _LCM_COLUMNS = ["r", "s", "d", "p", "exponents", "lhs", "rhs", "prime_tight", "holds", "equality"]
 
 
-def _cmd_lcm_bound(args: argparse.Namespace) -> tuple[list[str], list[dict], dict, int]:
+def _certificate_rows(cert: lcmbound.LcmBoundCertificate) -> list[tuple]:
+    inst = cert.instance
+    primes = [(row.p, row.exponents, row.lhs, row.rhs, row.tight) for row in cert.per_prime] or [(None,) * 5]
+    return [(inst.r, inst.s, inst.d, *prime, cert.holds, cert.equality) for prime in primes]
+
+
+def _cmd_lcm_bound(args: argparse.Namespace) -> _Report:
     params = {"d": args.d, "s": args.s, "r": args.r}
     if args.s == 1:
         if args.r is None:
@@ -181,41 +159,22 @@ def _cmd_lcm_bound(args: argparse.Namespace) -> tuple[list[str], list[dict], dic
     return _LCM_COLUMNS, _certificate_rows(cert), params, status
 
 
-def _cmd_sidon(args: argparse.Namespace) -> tuple[list[str], list[dict], dict, int]:
+def _cmd_sidon(args: argparse.Namespace) -> _Report:
     report = sidon.verify_window_range(args.kind, args.n_lo, args.n_hi, workers=args.workers)
     _diag(f"sidon kind={args.kind}: checked={report.checked} failures={len(report.failures)}")
-    rows = [
-        {
-            "kind": report.kind,
-            "n_lo": report.n_lo,
-            "n_hi": report.n_hi,
-            "checked": report.checked,
-            "failure_count": len(report.failures),
-            "failures": report.failures,
-        }
-    ]
     status = 0
     if report.failures:
         _diag("FAILURE: window construction is provably Sidon; endpoint arithmetic is wrong")
         status = 1
-    cols = ["kind", "n_lo", "n_hi", "checked", "failure_count", "failures"]
+    columns = ["kind", "n_lo", "n_hi", "checked", "failure_count", "failures"]
+    rows = [(report.kind, report.n_lo, report.n_hi, report.checked, len(report.failures), report.failures)]
     params = {"kind": args.kind, "from": args.n_lo, "to": args.n_hi, "workers": args.workers}
-    return cols, rows, params, status
+    return columns, rows, params, status
 
 
-def _cmd_exponent(args: argparse.Namespace) -> tuple[list[str], list[dict], dict, int]:
-    rows = []
-    for r in args.r:
-        res = exponents.square_exponent(r) if args.power == "square" else exponents.cube_exponent(r)
-        rows.append(
-            {
-                "power": res.power,
-                "r": res.r,
-                "best_c": res.best_c,
-                "gamma": res.gamma,
-                "gamma_float": res.gamma_float,
-            }
-        )
+def _cmd_exponent(args: argparse.Namespace) -> _Report:
+    exponent = exponents.square_exponent if args.power == "square" else exponents.cube_exponent
+    rows = [(res.power, res.r, res.best_c, res.gamma, res.gamma_float) for res in map(exponent, args.r)]
     params = {"power": args.power, "r": args.r}
     return ["power", "r", "best_c", "gamma", "gamma_float"], rows, params, 0
 

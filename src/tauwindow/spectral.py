@@ -109,9 +109,9 @@ def _difference_blocks(a: tuple[int, ...], weights=None) -> Iterator[tuple[np.nd
     weights sums is None.  Concatenating the blocks gives the whole table.
     Weights that all equal 1 take the unweighted sort: every product is 1, so
     the sums are the pair counts, exact in complex128 below 2^53.  A block
-    sorts its differences as keys diff - d0 - 1 in _key_dtype(d1 - d0 - 1)
-    when that is narrower than the support's dtype; a wider block sorts the
-    differences themselves.  The differences are yielded in the support's dtype.
+    sorts its differences as keys diff - d0 - 1 in _key_dtype(d1 - d0 - 1),
+    never wider than the support's dtype, and yields the differences in the
+    support's dtype.
     """
     n = len(a)
     spread = a[-1] - a[0]
@@ -150,12 +150,9 @@ def _difference_blocks(a: tuple[int, ...], weights=None) -> Iterator[tuple[np.nd
         cols = np.arange(pairs) + np.repeat(lo - (np.cumsum(per_row) - per_row), per_row)
         keys = np.repeat(arr, per_row)
         keys -= arr[cols]
-        # every difference lies in (d0, d1]: a narrower block keys it by its offset
-        key = np.dtype(_key_dtype(d1 - d0 - 1))
-        narrow = key != arr.dtype
-        if narrow:
-            keys -= d0 + 1
-            keys = keys.astype(key)
+        # every difference lies in (d0, d1]: key it by its offset from d0 + 1
+        keys -= d0 + 1
+        keys = keys.astype(_key_dtype(d1 - d0 - 1), copy=False)
         if w is None:
             keys.sort()
         else:
@@ -169,10 +166,7 @@ def _difference_blocks(a: tuple[int, ...], weights=None) -> Iterator[tuple[np.nd
             sums = np.add.reduceat(prods, starts)
         else:
             sums = None if weights is None else counts.astype(np.complex128)
-        diffs = keys[starts]
-        if narrow:
-            diffs = diffs.astype(arr.dtype) + (d0 + 1)
-        yield diffs, counts, sums
+        yield keys[starts].astype(arr.dtype) + (d0 + 1), counts, sums
         d0, hi = d1, lo
 
 

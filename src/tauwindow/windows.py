@@ -174,8 +174,6 @@ def _pair_lcm_marks(window: DivisorRange, m0: int, m1: int) -> np.ndarray:
     dtype, key = _exact_dtype(m1), _key_dtype(m1 - m0)
     lo, hi = window.lo, window.hi
     b_lo, b_hi = -(-hi // (hi - lo)), m1 // lo
-    if b_lo > b_hi:
-        return np.empty(0, dtype=key)
 
     def factor_ranges(a, b):
         """a*b for each coprime a < b with marks, the shorter of its g and j

@@ -181,6 +181,16 @@ class TestFactorize:
         for n in (4099**7, 4111**6, 4099**3 * 4111**3):
             assert factorize(n).factors == tuple(trial_division_oracle(n)), n
 
+    def test_perfect_powers_are_split_by_their_root(self, monkeypatch):
+        # both cofactors pass the trial primes whole; their root is found
+        # by _perfect_power, never by Pollard-Brent
+        def no_pollard_brent(n):
+            raise AssertionError(f"Pollard-Brent called on {n}")
+
+        monkeypatch.setattr(arith, "_pollard_brent", no_pollard_brent)
+        assert factorize(4099**3).factors == ((4099, 3),)
+        assert factorize(65537**2).factors == ((65537, 2),)
+
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 10**12))
     def test_round_trip_hypothesis(self, n):

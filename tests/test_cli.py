@@ -7,8 +7,10 @@ import re
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tauwindow
@@ -67,6 +69,71 @@ class TestReadmeExamples:
         code, out, _ = run_cli(capsys, *command.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+# with README_EXAMPLES, the stdout sha256 of every README command and of the
+# lcm-bound equality case in both formats.  lcm-bound JSON rows list their keys
+# in column order, so those documents are pinned by the digest of
+# json.dumps(doc, sort_keys=True), which their earlier key order gives too
+OTHER_FORMAT_DIGESTS = [
+    ("energy --n 512 --n 1024 --format json", "99217e8e8414fc0f2c2a0e921cff7716e6b6967bc9da5ca5a314a4eaf12a4c84"),
+    ("energy --n 100 --k 28 --format json", "bd476e7c109c2144c8409b837b98503227e03d24e86ec34dc289315a986e130a"),
+    ("scan-squares --n 100000 --k 562 --workers 4 --format json", "9594254ce96e4f8368b20bd53db72080eb8c77b462c1c6e60048afbc45d28baf"),
+    ("ruzsa --from 2 --to 10000 --eps 0.25 --format json", "73e0469033fb5c8f614f69e7129858b1f43200cdb92951c60eecd9934a39ae29"),
+    ("lcm-bound --d 4,6,10 --s 2 --format json", "756859dc3374d01566e71394aa7dc6a849c370eb1a51c910dd80fa5df1123996"),
+    ("lcm-bound --s 1 --r 3 --d 8 --format json", "2a8dfbdc56a6dd53f8f128ea925a0d4337016ae3de334fd5e61daa255799544c"),
+    ("sidon --kind cube --from 1 --to 100000 --format json", "c3c416c183b808e59f28c3ad7fa8f4adda8b99f41c8a4c30da728c4417fdf8f8"),
+    ("exponent --power square --r 5 --r 1000 --format json", "7277c74e008592742549ed7a19a4e4fe2cebe8dc3cdf4d810f3116e0bc4645e7"),
+    ("scan-cubes --n 10 --k 2", "27a61203d75c026c9cebbd76e9d404b6382e2b2f5dc98c27d7f834b331bf4953"),
+    ("lcm-bound --d 1,6,6,6 --s 2", "3e7b817dcd4b88a7c28e3eb4e8ae695bcbed2a97b7592e537e6070d311235365"),
+    ("lcm-bound --d 1,6,6,6 --s 2 --format json", "e1b3aa3d832b021b0f6e0b9e13980c6f3ff16598d521a2d890cbaf997eec8605"),
+]
+
+# one small command per subcommand and mode
+ROW_COMMANDS = [
+    "energy --n 16 --n 32",
+    "energy --n 100 --k 28",
+    "scan-squares --n 10 --k 3",
+    "scan-cubes --n 10 --k 2",
+    "ruzsa --from 360 --to 362 --eps 0.2",
+    "lcm-bound --d 4,6,10 --s 2",
+    "lcm-bound --s 1 --r 3 --d 8",
+    "sidon --kind cube --from 1 --to 100",
+    "exponent --power square --r 5 --r 1000",
+]
+
+
+class TestReportRows:
+    @pytest.mark.parametrize("command, sha256", OTHER_FORMAT_DIGESTS, ids=[c for c, _ in OTHER_FORMAT_DIGESTS])
+    def test_report_bytes_are_pinned(self, capsys, command, sha256):
+        code, out, _ = run_cli(capsys, *command.split())
+        assert code == 0
+        if command.startswith("lcm-bound") and command.endswith("json"):
+            out = json.dumps(json.loads(out), sort_keys=True)
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+    @pytest.mark.parametrize("command", ROW_COMMANDS)
+    def test_json_row_keys_are_the_csv_header(self, capsys, command):
+        _, csv_out, _ = run_cli(capsys, *command.split())
+        _, json_out, _ = run_cli(capsys, *command.split(), "--format", "json")
+        header, *lines = csv_out.splitlines()
+        rows = json.loads(json_out)["rows"]
+        assert len(rows) == len(lines) >= 1
+        assert all(list(row) == header.split(",") for row in rows)
+
+    def test_ruzsa_report_costs_no_memory_beyond_the_scan(self, capsys, tmp_path):
+        # rows are written one line at a time, so the peak is ruzsa_scan's
+        tracemalloc.start()
+        try:
+            windows.ruzsa_scan(2, 200000, 0.25)
+            scan_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            code = main(["ruzsa", "--from", "2", "--to", "200000", "--eps", "0.25", "--out", str(tmp_path / "r.csv")])
+            cli_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert cli_peak <= 1.15 * scan_peak
 
 
 class TestScanCommands:
@@ -147,6 +214,14 @@ class TestScanCommands:
         assert code == 1
         assert out == ""
         assert "FAILURE" in err and "direct count is 0" in err
+
+    def test_hit_counts_off_c_t_2_are_failure(self, capsys, monkeypatch):
+        # one m hit by two window-divisor pairs breaks the C(t, 2) invariant
+        monkeypatch.setattr(windows, "_pair_lcm_marks", lambda window, m0, m1: np.zeros(2, dtype=np.uint32))
+        code, out, err = run_cli(capsys, "scan-squares", "--n", "10", "--k", "3")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("FAILURE: ") and "not C(t, 2)" in err
 
 
 class TestExponentCommand:

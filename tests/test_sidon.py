@@ -81,6 +81,11 @@ class TestIsSidon:
         assert is_sidon([1, 2, 5, 11]).is_sidon
         assert is_sidon([99]).is_sidon
 
+    def test_witness_of_a_sidon_set_is_refused(self):
+        # the sums 2, 3, 4, 5, 6, 8 of (1, 2, 4) are distinct
+        with pytest.raises(RuntimeError, match="witness requested for a Sidon set"):
+            sidon._find_witness((1, 2, 4))
+
     def test_verdict_fields(self):
         verdict = is_sidon([1, 2, 5, 11])
         assert verdict.set_size == 4

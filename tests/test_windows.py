@@ -462,6 +462,12 @@ class TestRangeSummary:
             summary = _range_summary(window, m0, m1)
         assert summary == whole_range_summary(window, m0, m1)
 
+    def test_hit_counts_off_c_t_2_are_an_invariant_failure(self, monkeypatch):
+        # one m hit by two pairs: C(t, 2) = 2 has no solution t
+        monkeypatch.setattr(windows, "_pair_lcm_marks", lambda window, m0, m1: np.zeros(2, dtype=np.uint32))
+        with pytest.raises(RuntimeError, match=r"hit by 2 window-divisor pairs, not C\(t, 2\)"):
+            _range_summary(DivisorRange(20, 26), 20, 90)
+
 
 class TestPairFreeWindows:
     """Two divisors d1 < d2 of [2N, 2N+2k] have gcd <= d2 - d1 <= 2k, so
