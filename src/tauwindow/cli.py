@@ -42,19 +42,13 @@ _Report = tuple[list[str], Sequence[tuple], dict[str, Any], int]
 def _cell(value: Any) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
     if isinstance(value, (tuple, list)):
         return _CSV_JOIN.join(str(v) for v in value)
     return str(value)
 
 
 def _jsonable(value: Any) -> Any:
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, tuple):
-        return list(value)
-    return value
+    return str(value) if isinstance(value, Fraction) else value
 
 
 def _emit(

@@ -280,7 +280,7 @@ class TestScanDifferential:
         st.integers(1, 2**70), st.integers(0, 40), st.integers(1, 40), st.integers(0, 2**70)
     )
     def test_window_counts_either_loop_order(self, lo, width, q_max, offset):
-        # the kernel loops over d when the window is shorter than the cofactor range
+        # windows both shorter and longer than the cofactor range; the kernel loops over d
         m_limit = lo * q_max + offset % lo
         counts = window_multiple_counts((lo, lo + width), m_limit)
         assert counts == multiples_by_quotient(lo, lo + width, m_limit)
@@ -427,8 +427,9 @@ class TestPairLcmKernel:
         assert marks.size == 982014
         assert peak <= marks.nbytes + 2 * 2**20
 
-    def test_whole_scan_memory_is_the_marks_plus_one_block(self, monkeypatch):
-        # the README's memory sentence, for the scan's run summary too
+    @staticmethod
+    def _marks_and_peak(monkeypatch, scan, n, k):
+        """The (dtype, size) of every mark array the scan makes, its report and its tracemalloc peak."""
         made = []
 
         def record(*args, real=windows._pair_lcm_marks):
@@ -439,13 +440,25 @@ class TestPairLcmKernel:
         monkeypatch.setattr(windows, "_pair_lcm_marks", record)
         tracemalloc.start()
         try:
-            rep = square_window_scan(10**5, 3000)
+            rep = scan(n, k)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return made, rep, peak
+
+    def test_whole_scan_memory_is_the_marks_plus_one_block(self, monkeypatch):
+        # the README's memory sentence, for the scan's run summary too
+        made, rep, peak = self._marks_and_peak(monkeypatch, square_window_scan, 10**5, 3000)
         assert made == [(np.uint32, 982014)]
         assert rep.max_tau == max(rep.histogram)
         assert peak <= 982014 * 4 + 2 * 2**20
+
+    def test_whole_cube_scan_memory_is_the_marks_plus_one_block(self, monkeypatch):
+        # the README's memory sentence covers cube scans too
+        made, rep, peak = self._marks_and_peak(monkeypatch, cube_window_scan, 300, 30)
+        assert made == [(np.uint32, 813775)]
+        assert rep.max_tau == max(rep.histogram)
+        assert peak <= 813775 * 4 + 2 * 2**20
 
 
 class TestRangeSummary:
