@@ -131,10 +131,7 @@ def _miller_rabin(n: int, bases: Sequence[int]) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in bases:
-        a %= n
-        if a in (0, 1, n - 1):
-            continue
+    for a in bases:  # 2 <= a < n - 1: is_prime sends only n >= 41^2 with no prime factor <= 37
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -452,7 +449,7 @@ def _split_range(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:
     width = hi - lo + 1
     parts = min(workers, width)
     edges = [lo + width * i // parts for i in range(parts + 1)]
-    return [(a, b - 1) for a, b in zip(edges, edges[1:]) if a < b]
+    return [(a, b - 1) for a, b in zip(edges, edges[1:])]
 
 
 def _run_bounds(sorted_values: np.ndarray) -> np.ndarray:

@@ -1,17 +1,19 @@
 """Command-line front end: one subcommand per experiment, CSV or JSON reports.
 
-Every handler returns its rows as plain tuples in column order.  CSV reports
-write the header and then one line per row; JSON reports are one document
-whose rows carry the columns as keys, in the same order.  Reports go to stdout
-(or --out, opened only once the handler has returned, so a refused or failed
-run leaves no report file); progress and summaries go to stderr.  With a
-fixed configuration the report bytes are identical run to run.  CSV reports
-are also identical for any --workers value; JSON reports differ only in the
-workers value that their parameters echo.  Exit status is 0 on success, 1
-when a theorem-backed invariant fails (that signals a bug, not a discovery),
-and 2 for usage errors: an InputError, raised by the library's precondition
-checks and by the few checks that only the command line makes, or a --out
-path that cannot be written.
+Every handler returns its rows as tuples in column order, of values that csv
+and json print as they are: a list cell is a tuple whose str joins its items
+with |, and an empty cell is None.  csv.writer writes CSV reports, the header
+and then one line per row; a JSON report is one json.dumps document whose rows
+carry the columns as keys, in the same order, built before the report is
+opened.  Reports go to stdout (or --out, opened only once the handler has
+returned, so a refused or failed run leaves no report file); progress and
+summaries go to stderr.  With a fixed configuration the report bytes are
+identical run to run.  CSV reports are also identical for any --workers value;
+JSON reports differ only in the workers value that their parameters echo.
+Exit status is 0 on success, 1 when a theorem-backed invariant fails (that
+signals a bug, not a discovery), and 2 for usage errors: an InputError, raised
+by the library's precondition checks and by the few checks that only the
+command line makes, or an unwritable --out path.
 
 Both energy modes compute the additive energy of a square window
 {(b + s)^2 : 0 <= s <= k}: --n n --k k is the window b = n, and each prefix
@@ -23,32 +25,24 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import json
 import math
 import sys
-from fractions import Fraction
-from itertools import chain
 from typing import Any, Sequence
 
 from . import exponents, lcmbound, sidon, spectral, windows
 from .arith import InputError
 
-_CSV_JOIN = "|"
-
 # a handler's (columns, rows in column order, parameters, exit status)
 _Report = tuple[list[str], Sequence[tuple], dict[str, Any], int]
 
 
-def _cell(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (tuple, list)):
-        return _CSV_JOIN.join(str(v) for v in value)
-    return str(value)
+class _Cells(tuple):
+    """A list cell: an array in JSON, its items joined by | in CSV."""
 
-
-def _jsonable(value: Any) -> Any:
-    return str(value) if isinstance(value, Fraction) else value
+    def __str__(self) -> str:
+        return "|".join(map(str, self))
 
 
 def _emit(
@@ -59,17 +53,16 @@ def _emit(
     fmt: str,
     out: str | None,
 ) -> None:
-    if fmt == "csv":
-        lines = chain([",".join(columns)], (",".join(map(_cell, row)) for row in rows))
-    else:
-        doc = {
-            "command": command,
-            "parameters": {k: _jsonable(v) for k, v in params.items()},
-            "rows": [dict(zip(columns, map(_jsonable, row))) for row in rows],
-        }
-        lines = [json.dumps(doc, indent=2)]
+    if fmt == "json":
+        doc = {"command": command, "parameters": params, "rows": [dict(zip(columns, row)) for row in rows]}
+        text = json.dumps(doc, indent=2) + "\n"
     with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
-        fh.writelines(line + "\n" for line in lines)
+        if fmt == "json":
+            fh.write(text)
+        else:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows(rows)
 
 
 def _diag(message: str) -> None:
@@ -128,8 +121,8 @@ _LCM_COLUMNS = ["r", "s", "d", "p", "exponents", "lhs", "rhs", "prime_tight", "h
 
 def _certificate_rows(cert: lcmbound.LcmBoundCertificate) -> list[tuple]:
     inst = cert.instance
-    primes = [(row.p, row.exponents, row.lhs, row.rhs, row.tight) for row in cert.per_prime] or [(None,) * 5]
-    return [(inst.r, inst.s, inst.d, *prime, cert.holds, cert.equality) for prime in primes]
+    primes = [(row.p, _Cells(row.exponents), row.lhs, row.rhs, row.tight) for row in cert.per_prime] or [(None,) * 5]
+    return [(inst.r, inst.s, _Cells(inst.d), *prime, cert.holds, cert.equality) for prime in primes]
 
 
 def _cmd_lcm_bound(args: argparse.Namespace) -> _Report:
@@ -161,14 +154,14 @@ def _cmd_sidon(args: argparse.Namespace) -> _Report:
         _diag("FAILURE: window construction is provably Sidon; endpoint arithmetic is wrong")
         status = 1
     columns = ["kind", "n_lo", "n_hi", "checked", "failure_count", "failures"]
-    rows = [(report.kind, report.n_lo, report.n_hi, report.checked, len(report.failures), report.failures)]
+    rows = [(report.kind, report.n_lo, report.n_hi, report.checked, len(report.failures), _Cells(report.failures))]
     params = {"kind": args.kind, "from": args.n_lo, "to": args.n_hi, "workers": args.workers}
     return columns, rows, params, status
 
 
 def _cmd_exponent(args: argparse.Namespace) -> _Report:
     exponent = exponents.square_exponent if args.power == "square" else exponents.cube_exponent
-    rows = [(res.power, res.r, res.best_c, res.gamma, res.gamma_float) for res in map(exponent, args.r)]
+    rows = [(res.power, res.r, res.best_c, str(res.gamma), res.gamma_float) for res in map(exponent, args.r)]
     params = {"power": args.power, "r": args.r}
     return ["power", "r", "best_c", "gamma", "gamma_float"], rows, params, 0
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
-from .arith import MAX_VALUE, InputError, factorize
+from .arith import MAX_VALUE, InputError, _integer, factorize
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ def verify_lcm_bound(d: Sequence[int], s: int) -> LcmBoundCertificate:
     This is a theorem for 2 <= s <= r, so holds=False signals an
     implementation bug, never a mathematical discovery.
     """
-    tup = tuple(int(x) for x in d)
+    tup = tuple(_integer(x, "value") for x in d)
     if len(tup) < 2:
         raise InputError("need at least two values")
     # all of them up front, before any factorization runs

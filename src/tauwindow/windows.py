@@ -433,6 +433,6 @@ def square_representations(m: int, n: int, k: int) -> list[tuple[int, int]]:
             continue
         s1 = (t + e) // 2
         s2 = (t - e) // 2
-        if 0 <= s2 and s1 <= k:
+        if s1 <= k:  # and s2 >= 0, as e <= t
             pairs.append(((n + s1) ** 2, (n + s2) ** 2))
     return pairs

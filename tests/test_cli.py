@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import tauwindow
-from tauwindow import spectral, windows
+from tauwindow import lcmbound, sidon, spectral, windows
 from tauwindow.cli import main
 
 
@@ -266,6 +267,14 @@ class TestSidonCommand:
         assert row["checked"] == 49
         assert row["failures"] == []
 
+    def test_non_sidon_window_is_failure(self, capsys, monkeypatch):
+        # a window reported non-Sidon is an invariant failure; the report lists it
+        monkeypatch.setattr(sidon, "_check_span", lambda kind, lo, hi: [lo, hi])
+        code, out, err = run_cli(capsys, "sidon", "--kind", "cube", "--from", "1", "--to", "10")
+        assert code == 1
+        assert out.splitlines()[1] == "cube,1,10,10,2,1|10"
+        assert "FAILURE: window construction is provably Sidon" in err
+
     @pytest.mark.parametrize("kind, n, size", [("square", 10**8, "2.98 GiB"), ("cube", 2**60, "2.52 TiB")])
     def test_refused_allocation_exits_2(self, kind, n, size):
         # one window's C(w + 1, 2) difference pairs do not fit in 2 GiB
@@ -462,6 +471,41 @@ class TestLcmBoundCommand:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "r >= 2" in err and "FAILURE" not in err
+
+    def test_s1_with_several_values_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lcm-bound", "--s", "1", "--r", "3", "--d", "2,3"])
+        assert exc.value.code == 2
+        assert "single --d value" in capsys.readouterr().err
+
+    def test_non_integer_value_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lcm-bound", "--d", "4,x", "--s", "2"])
+        assert exc.value.code == 2
+        assert "expected comma-separated integers, got '4,x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fmt, sha256",
+        [
+            ("csv", "5e0bd877737939fb6e3aa99754760f321f50e4f86057639448e7103088f6728d"),
+            ("json", "8792d1e3c2eb773a35ef26df9aee5a3ba7f3af917fe4ae9b808485e133a47082"),
+        ],
+    )
+    def test_vacuous_report_bytes_are_pinned(self, capsys, fmt, sha256):
+        # every value is 1, so no prime constrains anything: one row whose
+        # per-prime cells are empty in CSV and null in JSON
+        code, out, _ = run_cli(capsys, "lcm-bound", "--d", "1,1", "--s", "2", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+    def test_bound_that_fails_is_failure(self, capsys, monkeypatch):
+        # holds=False contradicts the theorem for s >= 2: exit 1, report still written
+        real = lcmbound.verify_lcm_bound
+        monkeypatch.setattr(lcmbound, "verify_lcm_bound", lambda d, s: dataclasses.replace(real(d, s), holds=False))
+        code, out, err = run_cli(capsys, "lcm-bound", "--d", "4,6,10", "--s", "2")
+        assert code == 1
+        assert out.splitlines()[1].endswith(",False,True")
+        assert "FAILURE: the lcm lower bound is a theorem" in err
 
     def test_value_beyond_2_96_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -45,6 +45,8 @@ CASES = {
     "square_scan_workers_0": lambda: windows.square_window_scan(5, 2, workers=0),
     "square_scan_m_limit_ge_2_96": lambda: windows.square_window_scan(10**30, 1),
     "cube_scan_k_gt_n": lambda: windows.cube_window_scan(5, 6),
+    "cube_scan_k_0": lambda: windows.cube_window_scan(1, 0),
+    "cube_scan_n_0": lambda: windows.cube_window_scan(0, 1),
     "cube_scan_workers_minus1": lambda: windows.cube_window_scan(5, 2, workers=-1),
     "cube_scan_m_limit_ge_2_96": lambda: windows.cube_window_scan(10**15, 1),
     "window_counts_lo_lt_1": lambda: windows.window_multiple_counts((0, 5), 10),
@@ -85,6 +87,9 @@ CASES = {
     "lcm_one_value": lambda: lcmbound.verify_lcm_bound([4], 2),
     "lcm_value_0": lambda: lcmbound.verify_lcm_bound([4, 0], 2),
     "lcm_value_2_96": lambda: lcmbound.verify_lcm_bound([4, 6, MAX_VALUE], 2),
+    # refused, not truncated to the certificate of (4, 6)
+    "lcm_value_float": lambda: lcmbound.verify_lcm_bound([4.5, 6], 2),
+    "lcm_value_string": lambda: lcmbound.verify_lcm_bound(["4", 6], 2),
     "lcm_s_1": lambda: lcmbound.verify_lcm_bound([4, 6], 1),
     "lcm_s_gt_r": lambda: lcmbound.verify_lcm_bound([4, 6], 3),
     "counterexample_r_1": lambda: lcmbound.counterexample_s1(1, 4),

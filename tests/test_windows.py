@@ -609,6 +609,8 @@ class TestRuzsaSieve:
     @example((10**12, 10**12 + 300, 0.25), 1)
     @example((2**63 - 50, 2**63 + 50, 0.3), 7)
     @example((math.isqrt(2**90) ** 2, math.isqrt(2**90) ** 2 + 6, 0.45), 1)
+    @example((741, 768, 0.01), 7)
+    @example((741, 768, 0.01), windows._BLOCK)
     def test_sieve_matches_tau_interval(self, case, block):
         # blocks of 1 and 7 put a block edge inside both the d and the cofactor level
         n_lo, n_hi, eps = case
