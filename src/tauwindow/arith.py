@@ -444,6 +444,7 @@ def _split_range(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:
 
     Only hi - lo + 1 of them can be nonempty, so no more edges are made.
     """
+    workers = _integer(workers, "workers")
     if workers < 1:
         raise InputError(f"workers must be a positive integer, got {workers}")
     width = hi - lo + 1

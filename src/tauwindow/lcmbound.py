@@ -111,6 +111,7 @@ def verify_lcm_bound(d: Sequence[int], s: int) -> LcmBoundCertificate:
     # all of them up front, before any factorization runs
     if any(not 1 <= x < MAX_VALUE for x in tup):
         raise InputError("values must be positive integers below 2**96")
+    s = _integer(s, "subset size s")
     if not 2 <= s <= len(tup):
         raise InputError(f"subset size s must satisfy 2 <= s <= {len(tup)}, got {s}")
     return _certificate(tup, s)
@@ -123,6 +124,7 @@ def counterexample_s1(r: int, d: int) -> LcmBoundCertificate:
     for gcd-free tuples, i.e. d^(1/r) >= d^(2/(r+1)), false whenever r >= 2.
     For d = 1 the certificate is vacuous (no primes, both sides 1).
     """
+    r = _integer(r, "r")
     if r < 2:
         raise InputError(f"need r >= 2, got {r}")
     return _certificate((1,) * (r - 1) + (d,), 1)

@@ -8,18 +8,22 @@ hit by exactly C(t, 2) pair-lcm multiples, so the hit counts give every
 tau >= 2; the m with tau = 1 are what is left of sum_d floor(m_limit / d),
 which is summed over blocks of equal quotient.  The cost is
 sum_m C(tau(m), 2) multiples plus the pairs that produce them, enumerated in
-numpy blocks of _BLOCK entries however large the window endpoints are; the
-memory is one mark array of exact size plus one block, while the marks are
-made and while their runs are summed.  Square scans use the window
-[2N, 2N+2k] with m <= 3Nk, cube scans [3N^2, 3N^2+9Nk] with
-m <= 7N^2*k: these are exactly the window/limit pairs produced by factoring
-differences of adjacent squares and cubes, so per-m counts bound the
-representation functions of those sets.  Two divisors of a square window have
-gcd <= 2k, so their lcm is at least 2N^2/k and a scan with 3k^2 < 2N has no
-pairs at all.  A mark m in [m0, m1] is stored as its offset m - m0, in the
-one rule of arith._key_dtype: uint32 when m1 - m0 < 2^32, int64 when
-m1 - m0 < 2^63 however large m1 is, and exact Python ints beyond; the levels
-above the marks take arith._exact_dtype(m1).  With workers > 1 a scan splits
+numpy blocks of _BLOCK entries however large the window endpoints are.  The
+pairs are walked once: that walk counts the marks and records the coprime
+pairs that can make them, each a and each b with its number of pairs in
+4 bytes apiece while b < 2^32, and a second pass fills the marks from that
+record.  So the memory is one mark array of exact size, the record and one
+block while the marks are made, and the marks and one block while their
+runs are summed.  Square scans use the window [2N, 2N+2k] with m <= 3Nk,
+cube scans [3N^2, 3N^2+9Nk] with m <= 7N^2*k: these are exactly the
+window/limit pairs produced by factoring differences of adjacent squares
+and cubes, so per-m counts bound the representation functions of those
+sets.  Two divisors of a square window have gcd <= 2k, so their lcm is at
+least 2N^2/k and a scan with 3k^2 < 2N has no pairs at all.  A mark m in
+[m0, m1] is stored as its offset m - m0, in the one rule of
+arith._key_dtype: uint32 when m1 - m0 < 2^32, int64 when m1 - m0 < 2^63
+however large m1 is, and exact Python ints beyond; the levels above the
+marks take arith._exact_dtype(m1).  With workers > 1 a scan splits
 [window.lo, m_limit] into that many equal m-ranges, run one after another in
 this process, each with its own m0, so more parts take narrower keys; each
 returns only its histogram and first argmax, so merging adds histograms.
@@ -52,7 +56,7 @@ and the per-N route runs.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate
@@ -60,7 +64,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import MAX_VALUE, DivisorRange, InputError, divisors_in_range, _BLOCK, _count_divisors_in_range, _exact_dtype, _key_dtype, _run_bounds, _split_range, _trial_divisions
+from .arith import MAX_VALUE, DivisorRange, InputError, divisors_in_range, _BLOCK, _count_divisors_in_range, _exact_dtype, _integer, _key_dtype, _run_bounds, _split_range, _trial_divisions
 
 # perfbench/tracer.py saves and restores this name; it goes when the tracer stops patching it
 ProcessPoolExecutor = None
@@ -165,45 +169,70 @@ def _pair_lcm_marks(window: DivisorRange, m0: int, m1: int) -> np.ndarray:
     with g in [ceil(lo/a), min(hi/b, m1/ab)] and j in
     [ceil(m0/(ab*g_hi)), m1/(ab*g_lo)]; every j gives one progression over g.
     Every level (b, a per b, j per (a, b), the marks) is expanded in blocks
-    of _BLOCK entries; a first pass counts the marks, so a second fills one
-    array of exact size.  The marks are returned as offsets m - m0 in
-    _key_dtype(m1 - m0): uint32 for a range shorter than 2^32 and int64 for
-    one shorter than 2^63, however large m1 is.  The levels above them take
-    _exact_dtype(m1).
+    of _BLOCK entries.  The (a, b) level is walked once: that pass counts the
+    marks and records, per block, the coprime a whose j range is not empty,
+    in _key_dtype(b_hi), with their b as runs (b and run length).  A second
+    pass pops the record block by block, recomputes each pair's g and j
+    ranges from (a, b) and fills one array of exact size, so the memory is
+    the marks, the record and one block.  The marks are returned as offsets
+    m - m0 in _key_dtype(m1 - m0): uint32 for a range shorter than 2^32 and
+    int64 for one shorter than 2^63, however large m1 is.  The levels above
+    them take _exact_dtype(m1).
     """
     dtype, key = _exact_dtype(m1), _key_dtype(m1 - m0)
     lo, hi = window.lo, window.hi
     b_lo, b_hi = -(-hi // (hi - lo)), m1 // lo
+    pair = _key_dtype(b_hi)
 
-    def mark_progressions():
-        """_multiples() over g for one block of (a, b, j) at a time."""
-        for start in range(b_lo, b_hi + 1, _BLOCK):
-            b = np.arange(start, min(start + _BLOCK, b_hi + 1), dtype=dtype)
-            # every b >= b_lo has some a in [a_lo, b - 1]
-            a_lo = -(-b * lo // hi)
-            for rows, sizes, a in _blocks(a_lo, np.ones_like(a_lo), (b - a_lo).astype(np.int64)):
-                b_a = np.repeat(b[rows], sizes)
-                ab, g_lo = a * b_a, -(-lo // a)
-                g_hi = np.minimum(hi // b_a, m1 // ab)
-                # the cheap g test first: it leaves fewer gcds to take
-                keep = g_hi >= g_lo
-                a, b_a, ab, g_lo, g_hi = a[keep], b_a[keep], ab[keep], g_lo[keep], g_hi[keep]
-                keep = np.gcd(a, b_a) == 1
-                ab, g_lo, g_hi = ab[keep], g_lo[keep], g_hi[keep]
-                j_lo = -(-m0 // (ab * g_hi))
-                j_count = (m1 // (ab * g_lo) - j_lo + 1).astype(np.int64)
-                keep = j_count > 0
-                ab, g_lo, g_hi, j_lo, j_count = ab[keep], g_lo[keep], g_hi[keep], j_lo[keep], j_count[keep]
-                for rows, sizes, j in _blocks(j_lo, np.ones_like(j_lo), j_count):
-                    g_lo_j, g_hi_j = np.repeat(g_lo[rows], sizes), np.repeat(g_hi[rows], sizes)
-                    yield _multiples(np.repeat(ab[rows], sizes) * j, g_lo_j, g_hi_j, m0, m1)
+    def g_ranges(a, b):
+        """a*b and the g range [g_lo, g_hi] of each pair (a, b)."""
+        ab = a * b
+        return ab, -(-lo // a), np.minimum(hi // b, m1 // ab)
 
-    marks = np.empty(sum(int(count.sum()) for _, _, count in mark_progressions()), dtype=key)
+    def j_ranges(ab, g_lo, g_hi):
+        """The first j and the number of j of each pair with g_hi >= g_lo."""
+        j_lo = -(-m0 // (ab * g_hi))
+        return j_lo, (m1 // (ab * g_lo) - j_lo + 1).astype(np.int64)
+
+    def mark_progressions(ab, g_lo, g_hi, j_lo, j_count):
+        """_multiples() over g for one block of (a, b, j) at a time; every j_count >= 1."""
+        for rows, sizes, j in _blocks(j_lo, np.ones_like(j_lo), j_count):
+            g_lo_j, g_hi_j = np.repeat(g_lo[rows], sizes), np.repeat(g_hi[rows], sizes)
+            yield _multiples(np.repeat(ab[rows], sizes) * j, g_lo_j, g_hi_j, m0, m1)
+
+    record, size = deque(), 0
+    for start in range(b_lo, b_hi + 1, _BLOCK):
+        b = np.arange(start, min(start + _BLOCK, b_hi + 1), dtype=dtype)
+        # every b >= b_lo has some a in [a_lo, b - 1]
+        a_lo = -(-b * lo // hi)
+        for rows, sizes, a in _blocks(a_lo, np.ones_like(a_lo), (b - a_lo).astype(np.int64)):
+            b_a = np.repeat(b[rows], sizes)
+            ab, g_lo, g_hi = g_ranges(a, b_a)
+            # the cheap g test first: it leaves fewer gcds to take
+            keep = g_hi >= g_lo
+            a, b_a, ab, g_lo, g_hi = a[keep], b_a[keep], ab[keep], g_lo[keep], g_hi[keep]
+            keep = np.gcd(a, b_a) == 1
+            a, b_a, ab, g_lo, g_hi = a[keep], b_a[keep], ab[keep], g_lo[keep], g_hi[keep]
+            j_lo, j_count = j_ranges(ab, g_lo, g_hi)
+            keep = j_count > 0
+            ranges = ab[keep], g_lo[keep], g_hi[keep], j_lo[keep], j_count[keep]
+            size += sum(int(count.sum()) for _, _, count in mark_progressions(*ranges))
+            # b_a is nondecreasing, so its runs hold it in far fewer entries
+            a, b_a = a[keep].astype(pair), b_a[keep].astype(pair)
+            if a.size:
+                bounds = _run_bounds(b_a)
+                record.append((a, b_a[bounds[:-1]], np.diff(bounds).astype(pair)))
+
+    marks = np.empty(size, dtype=key)
     pos = 0
-    for progressions in mark_progressions():
-        for _, _, values in _blocks(*_offsets(*progressions, m0, key)):
-            marks[pos : pos + values.size] = values
-            pos += values.size
+    while record:
+        a, b, runs = record.popleft()
+        a, b = a.astype(dtype), np.repeat(b, runs).astype(dtype)
+        ab, g_lo, g_hi = g_ranges(a, b)
+        for progressions in mark_progressions(ab, g_lo, g_hi, *j_ranges(ab, g_lo, g_hi)):
+            for _, _, values in _blocks(*_offsets(*progressions, m0, key)):
+                marks[pos : pos + values.size] = values
+                pos += values.size
     marks.sort()
     return marks
 
@@ -312,6 +341,7 @@ def square_window_scan(n: int, k: int, workers: int = 1) -> WindowScanReport:
     Every difference of two squares from {s^2 : n <= s <= n+k} factors with one
     factor in this window, so max_tau bounds the representation counts there.
     """
+    n, k = _integer(n, "n"), _integer(k, "k")
     if n < 1 or k < 1:
         raise InputError("square_window_scan expects n >= 1 and k >= 1")
     if k > n:
@@ -321,6 +351,7 @@ def square_window_scan(n: int, k: int, workers: int = 1) -> WindowScanReport:
 
 def cube_window_scan(n: int, k: int, workers: int = 1) -> WindowScanReport:
     """Scan m <= 7*n^2*k for divisors in [3n^2, 3n^2+9nk] (cube analogue)."""
+    n, k = _integer(n, "n"), _integer(k, "k")
     if n < 1 or k < 1:
         raise InputError("cube_window_scan expects n >= 1 and k >= 1")
     if k > n:

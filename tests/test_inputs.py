@@ -43,10 +43,13 @@ CASES = {
     "square_scan_k_0": lambda: windows.square_window_scan(5, 0),
     "square_scan_n_0": lambda: windows.square_window_scan(0, 1),
     "square_scan_workers_0": lambda: windows.square_window_scan(5, 2, workers=0),
+    "square_scan_workers_float": lambda: windows.square_window_scan(100, 10, workers=1.5),
+    "square_scan_k_string": lambda: windows.square_window_scan(100, "3"),
     "square_scan_m_limit_ge_2_96": lambda: windows.square_window_scan(10**30, 1),
     "cube_scan_k_gt_n": lambda: windows.cube_window_scan(5, 6),
     "cube_scan_k_0": lambda: windows.cube_window_scan(1, 0),
     "cube_scan_n_0": lambda: windows.cube_window_scan(0, 1),
+    "cube_scan_k_string": lambda: windows.cube_window_scan(5, "2"),
     "cube_scan_workers_minus1": lambda: windows.cube_window_scan(5, 2, workers=-1),
     "cube_scan_m_limit_ge_2_96": lambda: windows.cube_window_scan(10**15, 1),
     "window_counts_lo_lt_1": lambda: windows.window_multiple_counts((0, 5), 10),
@@ -83,6 +86,7 @@ CASES = {
     "sidon_from_gt_to": lambda: sidon.verify_window_range("cube", 5, 4),
     "sidon_from_0": lambda: sidon.verify_window_range("square", 0, 4),
     "sidon_workers_0": lambda: sidon.verify_window_range("square", 1, 10, workers=0),
+    "sidon_workers_float": lambda: sidon.verify_window_range("square", 1, 10, workers=1.5),
     "sidon_to_2_96": lambda: sidon.verify_window_range("cube", MAX_VALUE, MAX_VALUE),
     "lcm_one_value": lambda: lcmbound.verify_lcm_bound([4], 2),
     "lcm_value_0": lambda: lcmbound.verify_lcm_bound([4, 0], 2),
@@ -92,7 +96,10 @@ CASES = {
     "lcm_value_string": lambda: lcmbound.verify_lcm_bound(["4", 6], 2),
     "lcm_s_1": lambda: lcmbound.verify_lcm_bound([4, 6], 1),
     "lcm_s_gt_r": lambda: lcmbound.verify_lcm_bound([4, 6], 3),
+    "lcm_s_float": lambda: lcmbound.verify_lcm_bound([4, 6, 8], 2.5),
     "counterexample_r_1": lambda: lcmbound.counterexample_s1(1, 4),
+    "counterexample_r_float": lambda: lcmbound.counterexample_s1(3.5, 4),
+    "counterexample_r_string": lambda: lcmbound.counterexample_s1("3", 4),
     "counterexample_d_0": lambda: lcmbound.counterexample_s1(3, 0),
     "counterexample_d_2_96": lambda: lcmbound.counterexample_s1(3, MAX_VALUE),
     "square_exponent_r_2": lambda: exponents.square_exponent(2),

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tauwindow import windows
-from tauwindow.arith import DivisorRange, _key_dtype
+from tauwindow.arith import DivisorRange, _key_dtype, _split_range
 from tauwindow.spectral import l2_norm_sq, l4_norm_4, representation_counts, TrigPolynomial
 from tauwindow.windows import (
     RuzsaEntry,
@@ -426,6 +426,41 @@ class TestPairLcmKernel:
             tracemalloc.stop()
         assert marks.size == 982014
         assert peak <= marks.nbytes + 2 * 2**20
+
+    def test_gcd_runs_once_per_pair_block(self, monkeypatch):
+        # the (a, b) level is walked once: one np.gcd per block of _BLOCK (a, b) candidates,
+        # where a runs over [ceil(b*lo/hi), b - 1] for each b of a block of _BLOCK values
+        window = DivisorRange(2 * 10**5, 2 * 10**5 + 6000)
+        lo, hi, m1 = window.lo, window.hi, 9 * 10**8
+        b_lo, b_hi, blocks = -(-hi // (hi - lo)), m1 // lo, 0
+        for start in range(b_lo, b_hi + 1, windows._BLOCK):
+            candidates = sum(b + (-b * lo // hi) for b in range(start, min(start + windows._BLOCK, b_hi + 1)))
+            blocks += -(-candidates // windows._BLOCK)
+        calls = []
+
+        def counted(*args, real=np.gcd):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(windows.np, "gcd", counted)
+        marks = _pair_lcm_marks(window, lo, m1)
+        assert marks.size == 982014
+        assert blocks > 1
+        assert len(calls) == blocks
+
+    def test_memory_on_a_pair_heavy_range(self):
+        # the last of 8 parts of square_window_scan(10**5, 2000), where pairs make the
+        # fewest marks each, so the record of the (a, b) walk is largest beside them
+        window = DivisorRange(2 * 10**5, 2 * 10**5 + 4000)
+        m0, m1 = _split_range(window.lo, 6 * 10**8, 8)[-1]
+        tracemalloc.start()
+        try:
+            marks = _pair_lcm_marks(window, m0, m1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert marks.size > 0
+        assert peak <= marks.nbytes + 8 * marks.size + 2 * 2**20
 
     @staticmethod
     def _marks_and_peak(monkeypatch, scan, n, k):
